@@ -9,7 +9,7 @@ test:
 	go test ./...
 
 race:
-	go test -race -short ./internal/study/... ./internal/faultsim/... ./internal/netsim/... ./internal/results/...
+	go test -race -short ./internal/study/... ./internal/faultsim/... ./internal/netsim/... ./internal/capture/... ./internal/results/...
 
 # tier1 is the full verification gate: build, vet, tests, race subset
 # (the study wildcard covers internal/study/slotsched and the sharded

@@ -168,36 +168,13 @@ type Flow struct {
 	src, dst []byte
 }
 
-// NewFlow builds a flow from raw endpoint bytes.
-func NewFlow(kind EndpointKind, src, dst []byte) Flow {
-	return Flow{kind, bytes.Clone(src), bytes.Clone(dst)}
-}
-
 // Src and Dst return the endpoint byte strings.
 func (f Flow) Src() []byte { return f.src }
 func (f Flow) Dst() []byte { return f.dst }
 
-// Reverse returns the flow with endpoints swapped.
-func (f Flow) Reverse() Flow { return Flow{f.Kind, f.dst, f.src} }
-
 // Key returns a map key for the directed flow.
 func (f Flow) Key() string {
 	return string(f.Kind) + string(f.src) + ">" + string(f.dst)
-}
-
-// FastHash returns a symmetric hash: A->B and B->A collide, so
-// bidirectional traffic lands in the same bucket.
-func (f Flow) FastHash() uint64 {
-	return hashBytes(f.src) ^ hashBytes(f.dst) ^ uint64(f.Kind)<<56
-}
-
-func hashBytes(b []byte) uint64 {
-	var h uint64 = 0xCBF29CE484222325
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001B3
-	}
-	return h
 }
 
 // ---------------------------------------------------------------------

@@ -10,53 +10,38 @@
 // (about an hour of wall-clock time in the paper, ~45 minutes per
 // vantage point) down to milliseconds of CPU while preserving every
 // observable the paper's measurement suite consumes.
+//
+// Single ownership: a Network, and everything reachable from it (its
+// Clock, Hosts, Stacks, and their capture sinks), belongs to exactly one
+// goroutine at a time — the sequential campaign runner, or one parallel
+// worker on its own replica world. Nothing here takes a lock. Parallel
+// campaigns get their concurrency from independent replicas, never from
+// sharing one world; the package-level sync.Pools are the only state
+// shared between worlds.
 package netsim
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Clock is the simulation's virtual time source. It only moves when the
 // simulation advances it; tests that "wait three minutes" for a tunnel to
-// recover advance the clock rather than sleeping. Lock-free: Now sits on
-// the per-packet capture path, so the single word of state is atomic
-// rather than mutex-guarded.
+// recover advance the clock rather than sleeping.
 type Clock struct {
-	now atomic.Int64 // nanoseconds since simulation start
+	now time.Duration // since simulation start
 }
 
 // NewClock returns a clock at time zero.
 func NewClock() *Clock { return &Clock{} }
 
 // Now returns the current virtual time (duration since simulation start).
-func (c *Clock) Now() time.Duration {
-	return time.Duration(c.now.Load())
-}
+func (c *Clock) Now() time.Duration { return c.now }
 
 // Advance moves the clock forward by d. Negative advances are ignored:
 // virtual time never runs backwards.
 func (c *Clock) Advance(d time.Duration) time.Duration {
-	if d < 0 {
-		d = 0
+	if d > 0 {
+		c.now += d
 	}
-	return time.Duration(c.now.Add(int64(d)))
-}
-
-// AdvanceTo moves the clock forward to t; a no-op when the clock is
-// already past t. The campaign runner uses it to align every vantage
-// point onto a fixed virtual-time slot, so a resumed campaign replays
-// the identical timeline as an uninterrupted one.
-func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
-	for {
-		cur := c.now.Load()
-		if int64(t) <= cur {
-			return time.Duration(cur)
-		}
-		if c.now.CompareAndSwap(cur, int64(t)) {
-			return t
-		}
-	}
+	return c.now
 }
 
 // Jump sets the clock to exactly t, backwards included (negative t
@@ -66,9 +51,6 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 // open the next slot at its absolute scheduled time, or the
 // virtual-time fault windows would shift with execution order.
 func (c *Clock) Jump(t time.Duration) time.Duration {
-	if t < 0 {
-		t = 0
-	}
-	c.now.Store(int64(t))
-	return time.Duration(t)
+	c.now = max(t, 0)
+	return c.now
 }

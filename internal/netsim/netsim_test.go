@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"vpnscope/internal/arena"
 	"vpnscope/internal/capture"
 	"vpnscope/internal/geo"
 )
@@ -400,7 +399,7 @@ func TestStackTracerouteDirect(t *testing.T) {
 func TestTTLExpiry(t *testing.T) {
 	n, stack, server, _ := world(t)
 	// A TTL-1 ICMP probe dies at the first router, not the server.
-	pkt, err := BuildPacketTTL(1, stack.Host.Addr, server.Addr,
+	pkt, err := buildPacketTTL(1, stack.Host.Addr, server.Addr,
 		&capture.ICMP{TypeCode: capture.ICMPEchoRequest, ID: 1, Seq: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -473,13 +472,11 @@ func TestHostsDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestHostCacheInvalidation pins the single-goroutine HostByAddr MRU
-// cache to registry semantics: lookups must stop resolving the moment a
-// host is rewound away and must see a re-registration, even when the
-// address was cached.
+// TestHostCacheInvalidation pins the HostByAddr MRU cache to registry
+// semantics: lookups must stop resolving the moment a host is rewound
+// away and must see a re-registration, even when the address was cached.
 func TestHostCacheInvalidation(t *testing.T) {
 	n := New(3)
-	n.SetSlotArena(arena.New())
 	la := city(t, "Los Angeles")
 
 	a := NewHost("a", la, addr("198.51.100.1"))

@@ -21,10 +21,10 @@ import (
 // instead of a full header re-sum. Byte-identity to the full serialize
 // is the contract, proven differentially by FuzzPacketPrototype.
 //
-// The cache is flow-scoped and slot-scoped: it lives on the Network,
-// is gated on an installed slot arena (only single-goroutine worlds
-// have one), and is dropped by Network.BeginSlot together with the
-// arena reset that invalidates its header images.
+// The cache is flow-scoped and slot-scoped: it lives on the Network and
+// is dropped by Network.BeginSlot together with the arena reset that
+// invalidates its header images. Images captured before a slot arena is
+// installed (build-time traffic) live on the heap.
 
 // protoShape fingerprints the inner layer stack of a build request:
 // the transport layer type plus whether a payload layer follows.
@@ -190,13 +190,8 @@ func (p *packetPrototype) patch(buf *capture.SerializeBuffer, ttl byte, transpor
 
 // BuildPacketTTLInto is the prototype-cached form of the package-level
 // BuildPacketTTLInto: byte-identical output, but after the first packet
-// on a flow the header is patched instead of re-serialized. Worlds
-// without a slot arena (the multi-goroutine-safe configuration) always
-// take the full path.
+// on a flow the header is patched instead of re-serialized.
 func (n *Network) BuildPacketTTLInto(buf *capture.SerializeBuffer, ttl byte, src, dst netip.Addr, inner ...capture.SerializableLayer) ([]byte, error) {
-	if n.slotArena == nil {
-		return buildPacketTTLInto(buf, ttl, src, dst, inner...)
-	}
 	transport, payload, shape, ok := splitInner(inner)
 	if !ok {
 		return buildPacketTTLInto(buf, ttl, src, dst, inner...)
@@ -225,14 +220,11 @@ func (n *Network) BuildPacketInto(buf *capture.SerializeBuffer, src, dst netip.A
 	return n.BuildPacketTTLInto(buf, 64, src, dst, inner...)
 }
 
-// BeginSlot recycles the slot arena and drops the packet-prototype
-// cache whose header images live in it. The campaign runner calls it at
-// every vantage-point slot boundary; worlds without an arena have
-// nothing to recycle.
+// BeginSlot recycles the slot arena (a no-op when none is installed)
+// and drops the packet-prototype cache whose header images live in it.
+// The campaign runner calls it at every vantage-point slot boundary.
 func (n *Network) BeginSlot() {
-	if n.slotArena != nil {
-		n.slotArena.Reset()
-	}
+	n.slotArena.Reset()
 	clear(n.protos)
 	clear(n.paths)
 }

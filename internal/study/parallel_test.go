@@ -8,6 +8,8 @@ package study_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -31,6 +33,31 @@ func envelope(t *testing.T, res *study.Result) []byte {
 	return buf.Bytes()
 }
 
+// Pinned envelope digests, measured on go1.24.0 linux/amd64. They tie
+// the byte-identity suites to a fixed reference instead of only to each
+// other: a change that altered sequential and parallel output alike
+// would pass seq ≡ par but not these.
+const (
+	// subsetLossyDigest is the 3-provider lossy campaign of
+	// TestParallelByteIdenticalSubset.
+	subsetLossyDigest = "5b0757aa4304e0a5e37c01da02f9c9b138552138b0c72b8e3b9e89e7d0ca42a9"
+	subsetLossyLen    = 193819
+	// fullLossyDigest is the full 62-provider lossy campaign of
+	// TestParallelGoldenFullStudy.
+	fullLossyDigest = "ba88fc21342ff2fe6b4ea0a09a8645001141e9fc1826ae09503eac4ca595036f"
+	fullLossyLen    = 4779907
+)
+
+// checkDigest fails t unless env has the pinned length and sha256.
+func checkDigest(t *testing.T, name string, env []byte, wantDigest string, wantLen int) {
+	t.Helper()
+	sum := sha256.Sum256(env)
+	if got := hex.EncodeToString(sum[:]); got != wantDigest || len(env) != wantLen {
+		t.Errorf("%s envelope = sha256 %s, %d bytes; want %s, %d bytes",
+			name, got, len(env), wantDigest, wantLen)
+	}
+}
+
 // TestParallelByteIdenticalSubset is the fast (-short, race-checked)
 // form of the golden test: a 3-provider lossy campaign run with eight
 // workers serializes byte-identically to the sequential run.
@@ -51,9 +78,11 @@ func TestParallelByteIdenticalSubset(t *testing.T) {
 	if len(par.Reports) == 0 || par.VPsAttempted != seq.VPsAttempted {
 		t.Fatalf("parallel run attempted %d vantage points, sequential %d", par.VPsAttempted, seq.VPsAttempted)
 	}
-	if !bytes.Equal(envelope(t, seq), envelope(t, par)) {
+	seqEnv := envelope(t, seq)
+	if !bytes.Equal(seqEnv, envelope(t, par)) {
 		t.Error("Parallel=8 envelope differs from Parallel=1")
 	}
+	checkDigest(t, "subset lossy", seqEnv, subsetLossyDigest, subsetLossyLen)
 }
 
 // TestParallelQuarantineByteIdentical: the circuit breaker — whose
@@ -119,9 +148,11 @@ func TestParallelGoldenFullStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !bytes.Equal(envelope(t, seq), envelope(t, par)) {
+	seqEnv := envelope(t, seq)
+	if !bytes.Equal(seqEnv, envelope(t, par)) {
 		t.Error("full-study Parallel=8 envelope differs from Parallel=1")
 	}
+	checkDigest(t, "full-study lossy", seqEnv, fullLossyDigest, fullLossyLen)
 	// The shards' fault counters, absorbed on worker exit, must equal
 	// the sequential plan's: every draw happens inside some vantage
 	// point's boundary-reset stream, so the totals are execution-order
