@@ -16,9 +16,8 @@ race:
 # outcome log in internal/results/shardlog), the telemetry sink race
 # suite, the flight-recorder ring race suite, the daemon race suite
 # (admission, drain, kill -9 chaos, panic/stall flight dumps), study
-# bench smoke, the alloc-gated fast-path, prototype-patch,
-# checkpoint-merge, and shard-log benches, and the poisoned-arena
-# prototype retention suite.
+# bench smoke, the alloc-gated fast-path, prototype-patch, and
+# shard-log benches, and the poisoned-arena prototype retention suite.
 tier1: build
 	go vet ./...
 	go test ./...
@@ -28,7 +27,6 @@ tier1: build
 	go test -race ./internal/server/...
 	go test -bench Study -benchtime 1x -run '^$$' .
 	go test -bench 'Exchange|BuildPacket|Deliver|PrototypePatch' -benchtime 1x -run '^$$' ./internal/netsim
-	go test -bench 'CheckpointMerge' -benchtime 1x -run '^$$' ./internal/study
 	go test -bench 'ShardedOutcomes' -benchtime 1x -run '^$$' ./internal/results/shardlog
 	go test -tags arenadebug -run 'Prototype' ./internal/netsim
 

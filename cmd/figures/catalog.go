@@ -22,16 +22,18 @@ type catalogParams struct {
 	seed                    uint64
 	catalog, months, shards int
 	outcomes, faults        string
+	jsonPath                string
 	fullVPs, retries        int
 	quarantine, parallel    int
 	stopProgress            func()
 }
 
-// runCatalogMode is the ecosystem-scale entry point: every outcome is
+// runCatalogMode is the resumable entry point: every outcome is
 // streamed into a sharded append-only log, the §6 report is generated
-// by re-iterating the log (never materializing the result set), and
-// -months re-audits the catalog at later virtual months, reporting
-// verdict churn against the planted synthetic drift.
+// by re-iterating the log (never materializing the result set unless
+// -json asks for the merged envelope), and -months re-audits the
+// catalog at later virtual months, reporting verdict churn against the
+// planted synthetic drift.
 func runCatalogMode(ctx context.Context, stopSignals func(), p catalogParams) {
 	out := os.Stdout
 	var entries []ecosystem.CatalogEntry
@@ -43,6 +45,13 @@ func runCatalogMode(ctx context.Context, stopSignals func(), p catalogParams) {
 
 	baseLog, baseLean, w := auditMonth(ctx, stopSignals, p, entries, 0)
 	p.stopProgress()
+	if p.jsonPath != "" {
+		res, err := baseLog.Result()
+		if err != nil {
+			log.Fatal(err)
+		}
+		saveJSON(p.jsonPath, res, p.seed, p.faults)
+	}
 	var scanErr error
 	src := baseLog.Reports(&scanErr)
 	writeReport(out, src, baseLean, w, nil)
@@ -91,8 +100,8 @@ func runCatalogMode(ctx context.Context, stopSignals func(), p catalogParams) {
 }
 
 // auditMonth opens (and, after a kill, recovers) the month's shard log,
-// builds the month's world, and streams any not-yet-durable outcomes
-// into the log. A sealed log skips the campaign entirely.
+// builds the month's world, and continues the campaign into the log. A
+// sealed log skips the campaign entirely.
 func auditMonth(ctx context.Context, stopSignals func(), p catalogParams, entries []ecosystem.CatalogEntry, month int) (*shardlog.Log, *study.Result, *study.World) {
 	dir := p.outcomes
 	if p.months > 0 {
@@ -121,32 +130,19 @@ func auditMonth(ctx context.Context, stopSignals func(), p catalogParams, entrie
 		w.EnableFaults(profile)
 	}
 
-	if !lg.Complete() {
-		cfg := study.RunConfig{
-			ConnectAttempts: p.retries, QuarantineAfter: p.quarantine,
-			Parallel: p.parallel, Ctx: ctx, Stream: lg.Append,
-		}
-		if lg.NextRank() > 0 {
-			lean, err := lg.Resume()
-			if err != nil {
-				log.Fatal(err)
-			}
-			cfg.Resume = lean
-			fmt.Printf("month %d: resuming %s: %d outcomes already durable\n", month, dir, lg.NextRank())
-		}
-		_, err := w.RunWith(cfg)
-		if errors.Is(err, study.ErrCanceled) {
-			stopSignals() // a second signal now kills the process the hard way
-			log.Printf("interrupted after %d outcomes; rerun with the same flags to resume from %s",
-				lg.NextRank(), dir)
-			os.Exit(130)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := lg.MarkComplete(); err != nil {
-			log.Fatal(err)
-		}
+	if !lg.Complete() && lg.NextRank() > 0 {
+		fmt.Printf("month %d: resuming %s: %d outcomes already durable\n", month, dir, lg.NextRank())
+	}
+	cfg := study.RunConfig{ConnectAttempts: p.retries, QuarantineAfter: p.quarantine, Parallel: p.parallel, Ctx: ctx}
+	err = lg.Continue(cfg, w.RunWith)
+	if errors.Is(err, study.ErrCanceled) {
+		stopSignals() // a second signal now kills the process the hard way
+		log.Printf("interrupted after %d outcomes; rerun with the same flags to resume from %s",
+			lg.NextRank(), dir)
+		os.Exit(130)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	lean, err := lg.Resume()
 	if err != nil {

@@ -7,22 +7,24 @@
 // Usage:
 //
 //	figures [-seed N] [-full-vps N] [-provider NAME] [-faults PROFILE]
-//	        [-checkpoint FILE] [-resume FILE] [-retries N] [-quarantine N]
+//	        [-json FILE] [-retries N] [-quarantine N]
 //	        [-parallel N] [-cpuprofile FILE] [-memprofile FILE]
 //	        [-blockprofile FILE] [-mutexprofile FILE]
 //	        [-metrics FILE] [-trace FILE] [-progress]
 //
-// Ecosystem-scale sweeps stream per-outcome records into a sharded
+// A resumable run streams per-outcome records into a sharded
 // append-only log instead of holding the result set in memory:
 //
-//	figures -catalog 200 -outcomes DIR [-shards K] [-months N]
+//	figures -outcomes DIR [-json FILE] [-catalog N] [-shards K] [-months N]
 //
+// A killed or interrupted run resumes when rerun with the same flags and
+// -outcomes directory; -json then writes the envelope merged from the
+// sealed log, byte-identical to an uninterrupted in-memory run's.
 // -catalog N audits the first N catalog providers (the 62 tested keep
 // their hand-built specs; the rest get procedurally derived synthetic
-// profiles with planted ground truth). A killed sweep resumes from the
-// same -outcomes directory. -months N re-audits the catalog at virtual
-// months 1..N and reports per-provider verdict churn against the
-// planted behavior drift.
+// profiles with planted ground truth). -months N re-audits the catalog
+// at virtual months 1..N and reports per-provider verdict churn against
+// the planted behavior drift.
 package main
 
 import (
@@ -56,8 +58,6 @@ func main() {
 	provider := flag.String("provider", "", "restrict the run to one provider")
 	jsonPath := flag.String("json", "", "also save the raw study result as JSON to this file")
 	faults := flag.String("faults", "", "inject a fault profile: none, mild, lossy, or hostile")
-	checkpoint := flag.String("checkpoint", "", "write a resumable checkpoint to this file after every vantage point")
-	resume := flag.String("resume", "", "resume the campaign from a checkpoint file")
 	retries := flag.Int("retries", 0, "connect attempts per vantage point (0 = default)")
 	quarantine := flag.Int("quarantine", 0, "consecutive connect failures before a provider is quarantined (0 = default)")
 	parallel := flag.Int("parallel", 0, "campaign worker shards; results are byte-identical for any value (0 = GOMAXPROCS)")
@@ -71,19 +71,14 @@ func main() {
 	catalogN := flag.Int("catalog", 0, "sweep the first N catalog providers (synthetic profiles for untested entries; 0 = the tested 62)")
 	months := flag.Int("months", 0, "longitudinal mode: re-audit the catalog at virtual months 1..N and report verdict churn")
 	shards := flag.Int("shards", 0, "outcome-log shard count for -outcomes (0 = default)")
-	outcomes := flag.String("outcomes", "", "stream outcomes into this sharded log directory (bounded memory, kill-resumable)")
+	outcomes := flag.String("outcomes", "", "stream outcomes into this sharded log directory (bounded memory; rerun with the same directory to resume)")
 	flag.Parse()
 
 	if (*catalogN > 0 || *months > 0) && *outcomes == "" {
 		log.Fatal("-catalog/-months sweeps stream their outcomes; set -outcomes DIR")
 	}
-	if *outcomes != "" {
-		if *checkpoint != "" || *resume != "" {
-			log.Fatal("-outcomes replaces -checkpoint/-resume (the log directory resumes itself)")
-		}
-		if *provider != "" || *jsonPath != "" {
-			log.Fatal("-provider/-json are not supported with -outcomes (use vpnaudit, or read the shard log)")
-		}
+	if *outcomes != "" && *provider != "" {
+		log.Fatal("-provider is not supported with -outcomes (use vpnaudit -outcomes)")
 	}
 
 	stopProf, err := profiling.Start(profiling.Config{
@@ -109,15 +104,15 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM cancel the campaign at the next vantage-point slot
-	// boundary: with -checkpoint (or a streamed -outcomes log), the
-	// interrupted run resumes and regenerates identical figures.
+	// boundary: with -outcomes, rerunning resumes the log and regenerates
+	// identical figures.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
 	if *outcomes != "" {
 		runCatalogMode(ctx, stopSignals, catalogParams{
 			seed: *seed, catalog: *catalogN, months: *months, shards: *shards,
-			outcomes: *outcomes, faults: *faults, fullVPs: *fullVPs,
+			outcomes: *outcomes, faults: *faults, jsonPath: *jsonPath, fullVPs: *fullVPs,
 			retries: *retries, quarantine: *quarantine, parallel: *parallel,
 			stopProgress: stopProgress,
 		})
@@ -141,26 +136,6 @@ func main() {
 	}
 
 	cfg := study.RunConfig{ConnectAttempts: *retries, QuarantineAfter: *quarantine, Parallel: *parallel, Ctx: ctx}
-	if *resume != "" {
-		partial, env, err := results.LoadFile(*resume)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if env.Seed != *seed {
-			log.Fatalf("checkpoint %s was taken at seed %d, not %d", *resume, env.Seed, *seed)
-		}
-		cfg.Resume = partial
-		fmt.Printf("resuming from %s: %d vantage points already decided\n",
-			*resume, partial.VPsAttempted)
-	}
-	if *checkpoint != "" {
-		opts := []results.Option{results.WithSeed(*seed)}
-		if *faults != "" {
-			opts = append(opts, results.WithFaultProfile(*faults))
-		}
-		cfg.Checkpoint = results.CheckpointFunc(*checkpoint, opts...)
-	}
-
 	var res *study.Result
 	if *provider != "" {
 		res, err = w.RunProviderWith(*provider, cfg)
@@ -170,15 +145,8 @@ func main() {
 	stopProgress() // final progress line before the report starts
 	if errors.Is(err, study.ErrCanceled) {
 		stopSignals() // a second signal now kills the process the hard way
-		at := 0
-		if res != nil {
-			at = res.VPsAttempted
-		}
-		if *checkpoint != "" {
-			log.Printf("interrupted after %d vantage points; resume with -resume %s", at, *checkpoint)
-		} else {
-			log.Printf("interrupted after %d vantage points (no -checkpoint, progress not saved)", at)
-		}
+		log.Printf("interrupted after %d vantage points (progress not saved; -outcomes DIR makes a run resumable)",
+			res.VPsAttempted)
 		os.Exit(130)
 	}
 	if err != nil {
@@ -186,23 +154,8 @@ func main() {
 	}
 	writeTelemetry(tel, *metricsOut, *traceOut)
 	out := os.Stdout
-
 	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts := []results.Option{results.WithSeed(*seed)}
-		if *faults != "" {
-			opts = append(opts, results.WithFaultProfile(*faults))
-		}
-		if err := results.Save(f, res, opts...); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(out, "raw results saved to %s\n", *jsonPath)
+		saveJSON(*jsonPath, res, *seed, *faults)
 	}
 
 	writeReport(out, analysis.Slice(res.Reports), res, w, tel)
@@ -398,6 +351,18 @@ func writeReport(out io.Writer, src analysis.Reports, res *study.Result, w *stud
 	if tel != nil {
 		report.WriteTelemetrySummary(out, tel.Snapshot())
 	}
+}
+
+// saveJSON writes the campaign's results envelope to path.
+func saveJSON(path string, res *study.Result, seed uint64, faults string) {
+	opts := []results.Option{results.WithSeed(seed)}
+	if faults != "" {
+		opts = append(opts, results.WithFaultProfile(faults))
+	}
+	if err := results.SaveFile(path, res, opts...); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("raw results saved to %s\n", path)
 }
 
 // writeTelemetry dumps the metrics snapshot and/or trace file. Failures

@@ -6,9 +6,13 @@
 // Usage:
 //
 //	vpnaudit -provider NordVPN [-seed N] [-list] [-faults PROFILE] [-retries N]
-//	         [-checkpoint FILE] [-resume FILE] [-quarantine N] [-parallel N]
+//	         [-outcomes DIR] [-quarantine N] [-parallel N] [-pcap DIR]
 //	         [-cpuprofile FILE] [-memprofile FILE] [-blockprofile FILE]
 //	         [-mutexprofile FILE] [-metrics FILE] [-trace FILE] [-progress]
+//
+// -outcomes DIR streams every vantage-point outcome into a sharded
+// append-only log; an interrupted audit resumes when rerun with the same
+// flags and directory, and the report is printed from the merged log.
 package main
 
 import (
@@ -19,19 +23,18 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"path/filepath"
 	"vpnscope/internal/ecosystem"
 	"vpnscope/internal/faultsim"
 	"vpnscope/internal/profiling"
 	"vpnscope/internal/report"
-	"vpnscope/internal/results"
-	"vpnscope/internal/telemetry"
-
+	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
+	"vpnscope/internal/telemetry"
 	"vpnscope/internal/vpntest"
 )
 
@@ -46,8 +49,7 @@ func main() {
 	pcapDir := flag.String("pcap", "", "directory to write per-vantage-point pcap traces to")
 	faults := flag.String("faults", "", "inject a fault profile: none, mild, lossy, or hostile")
 	retries := flag.Int("retries", 0, "connect attempts per vantage point (0 = default)")
-	checkpoint := flag.String("checkpoint", "", "write a resumable checkpoint to this file after every vantage point")
-	resume := flag.String("resume", "", "resume the audit from a checkpoint file")
+	outcomes := flag.String("outcomes", "", "stream outcomes into this sharded log directory (rerun with the same directory to resume)")
 	quarantine := flag.Int("quarantine", 0, "consecutive connect failures before the provider is quarantined (0 = default)")
 	parallel := flag.Int("parallel", 0, "campaign worker shards; results are byte-identical for any value (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (pprof format) to this file")
@@ -127,42 +129,34 @@ func main() {
 		w.EnableFaults(profile)
 	}
 	// SIGINT/SIGTERM cancel the audit at the next vantage-point slot
-	// boundary: the latest checkpoint (when -checkpoint is set) is
-	// already durable, so an interrupted audit resumes with -resume.
+	// boundary: with -outcomes every committed outcome is already in the
+	// log, so rerunning with the same flags resumes the audit.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	cfg := study.RunConfig{ConnectAttempts: *retries, QuarantineAfter: *quarantine, Parallel: *parallel, Ctx: ctx}
-	if *resume != "" {
-		partial, env, err := results.LoadFile(*resume)
-		if err != nil {
-			log.Fatal(err)
+	savePcap := func(r *vpntest.VPReport) {
+		if *pcapDir == "" || len(r.Captures) == 0 {
+			return
 		}
-		if env.Seed != *seed {
-			log.Fatalf("checkpoint %s was taken at seed %d, not %d", *resume, env.Seed, *seed)
+		if err := writePcap(*pcapDir, r); err != nil {
+			log.Printf("writing pcap for %s: %v", r.VPLabel, err)
 		}
-		cfg.Resume = partial
-		fmt.Printf("resuming from %s: %d vantage points already decided\n",
-			*resume, partial.VPsAttempted)
 	}
-	if *checkpoint != "" {
-		opts := []results.Option{results.WithSeed(*seed)}
-		if *faults != "" {
-			opts = append(opts, results.WithFaultProfile(*faults))
+	var res *study.Result
+	if *outcomes != "" {
+		res, err = auditIntoLog(w, *provider, cfg, *outcomes, shardlog.Meta{Seed: *seed, FaultProfile: *faults, Month: *month}, savePcap)
+	} else if res, err = w.RunProviderWith(*provider, cfg); err == nil {
+		for _, r := range res.Reports {
+			savePcap(r)
 		}
-		cfg.Checkpoint = results.CheckpointFunc(*checkpoint, opts...)
 	}
-	res, err := w.RunProviderWith(*provider, cfg)
 	stopProgress() // final progress line before the report starts
 	if errors.Is(err, study.ErrCanceled) {
 		stopSignals() // a second signal now kills the process the hard way
-		at := 0
-		if res != nil {
-			at = res.VPsAttempted
-		}
-		if *checkpoint != "" {
-			log.Printf("interrupted after %d vantage points; resume with -resume %s", at, *checkpoint)
+		if *outcomes != "" {
+			log.Printf("interrupted; rerun with the same flags to resume from %s", *outcomes)
 		} else {
-			log.Printf("interrupted after %d vantage points (no -checkpoint, progress not saved)", at)
+			log.Printf("interrupted after %d vantage points (progress not saved; -outcomes DIR makes an audit resumable)", res.VPsAttempted)
 		}
 		os.Exit(130)
 	}
@@ -183,16 +177,39 @@ func main() {
 	}
 	for _, r := range res.Reports {
 		printReport(out, r)
-		if *pcapDir != "" && len(r.Captures) > 0 {
-			if err := writePcap(*pcapDir, r); err != nil {
-				log.Printf("writing pcap for %s: %v", r.VPLabel, err)
-			}
-		}
 	}
 	report.WriteCollectionHealth(out, res)
 	if tel != nil {
 		report.WriteTelemetrySummary(out, tel.Snapshot())
 	}
+}
+
+// auditIntoLog runs the provider audit into the shard log at dir,
+// resuming from whatever prefix an earlier, interrupted run left there,
+// and returns the Result merged from the sealed log. onReport sees each
+// fresh report as it streams, with the packet traces the log leaves out.
+func auditIntoLog(w *study.World, provider string, cfg study.RunConfig, dir string, meta shardlog.Meta, onReport func(*vpntest.VPReport)) (*study.Result, error) {
+	lg, err := shardlog.Open(dir, meta)
+	if err != nil {
+		return nil, err
+	}
+	defer lg.Close()
+	if !lg.Complete() && lg.NextRank() > 0 {
+		fmt.Printf("resuming from %s: %d vantage points already decided\n", dir, lg.NextRank())
+	}
+	cfg.Stream = func(o study.Outcome) error {
+		if o.Report != nil {
+			onReport(o.Report)
+		}
+		return nil
+	}
+	err = lg.Continue(cfg, func(cfg study.RunConfig) (*study.Result, error) {
+		return w.RunProviderWith(provider, cfg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return lg.Result()
 }
 
 // writeTelemetry dumps the metrics snapshot and/or trace file. Failures

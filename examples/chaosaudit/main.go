@@ -1,10 +1,11 @@
 // Chaosaudit: run a small campaign under the "lossy" fault profile —
 // packet loss, link flaps, resolver blackouts, tunnel resets, and
 // connect refusals, all derived from the seed — with the resilient
-// runner's retry/backoff, quarantine, and checkpointing engaged. The
-// point: the headline verdicts (Seed4.me injects ads, WorldVPN leaks
-// DNS) survive the chaos, and every vantage point the chaos claimed is
-// accounted for rather than silently dropped.
+// runner's retry/backoff and quarantine engaged, and every outcome
+// appended to a durable shard log. The point: the headline verdicts
+// (Seed4.me injects ads, WorldVPN leaks DNS) survive the chaos, and
+// every vantage point the chaos claimed is accounted for rather than
+// silently dropped.
 //
 // Run with: go run ./examples/chaosaudit
 package main
@@ -19,7 +20,7 @@ import (
 	"vpnscope/internal/ecosystem"
 	"vpnscope/internal/faultsim"
 	"vpnscope/internal/report"
-	"vpnscope/internal/results"
+	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
 	"vpnscope/internal/vpn"
 )
@@ -53,19 +54,27 @@ func main() {
 
 	// The resilient runner: three connect attempts per vantage point
 	// with exponential backoff, a circuit breaker after consecutive
-	// failures, and a checkpoint after every vantage point. Kill this
-	// process mid-run and start it again with RunConfig.Resume — the
-	// final results are byte-identical to an uninterrupted campaign.
-	ckptPath := filepath.Join(os.TempDir(), "chaosaudit-checkpoint.json")
-	res, err := world.RunWith(study.RunConfig{
-		ConnectAttempts: 3,
-		QuarantineAfter: 3,
-		Checkpoint:      results.CheckpointFunc(ckptPath, results.WithSeed(2018), results.WithFaultProfile("lossy")),
-	})
+	// failures, and every outcome appended (fsynced) to a shard log.
+	// Kill this process mid-run and start it again: it resumes from the
+	// log, and the merged results are byte-identical to an
+	// uninterrupted campaign's.
+	dir := filepath.Join(os.TempDir(), "chaosaudit-outcomes")
+	lg, err := shardlog.Open(dir, shardlog.Meta{Seed: 2018, FaultProfile: "lossy"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.Remove(ckptPath)
+	if !lg.Complete() && lg.NextRank() > 0 {
+		fmt.Printf("resuming %s: %d outcomes already durable\n\n", dir, lg.NextRank())
+	}
+	if err := lg.Continue(study.RunConfig{ConnectAttempts: 3, QuarantineAfter: 3}, world.RunWith); err != nil {
+		log.Fatal(err)
+	}
+	res, err := lg.Result()
+	if err != nil {
+		log.Fatal(err)
+	}
+	lg.Close()
+	defer os.RemoveAll(dir)
 
 	report.WriteCollectionHealth(os.Stdout, res)
 

@@ -19,7 +19,7 @@ import (
 // tempOrphans counts leftover temp files in dir.
 func tempOrphans(t *testing.T, dir string) int {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, ".checkpoint-*"))
+	matches, err := filepath.Glob(filepath.Join(dir, ".atomic-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestWriteFileAtomicPreservesPrevious(t *testing.T) {
 		t.Fatal(readErr)
 	}
 	if string(got) != "generation-1" {
-		t.Errorf("previous checkpoint corrupted: %q", got)
+		t.Errorf("previous file corrupted: %q", got)
 	}
 	if n := tempOrphans(t, dir); n != 0 {
 		t.Errorf("%d orphaned temp files left", n)

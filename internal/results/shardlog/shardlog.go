@@ -1,21 +1,21 @@
-// Package shardlog is the bounded-memory persistence layer for
-// ecosystem-scale campaigns: per-shard append-only NDJSON outcome logs
-// written incrementally by the study committer, merged on demand.
+// Package shardlog is the persistence layer for resumable campaigns:
+// per-shard append-only NDJSON outcome logs written incrementally by the
+// study committer, merged on demand.
 //
-// The monolithic checkpoint (results.CheckpointFunc) rewrites the whole
-// Result after every outcome — O(campaign) per outcome, and the full
-// result set must fit in memory to load it back. A shard log instead
-// appends exactly one JSON line per committed outcome to the shard file
+// Each committed outcome appends exactly one JSON line to the shard file
 // rank%K (so shard i holds ranks i, i+K, i+2K, ... in order), fsyncing
-// the one touched file: O(1) durability per outcome, and reading back
-// is a K-way round-robin merge that holds one decoded outcome at a
-// time.
+// the one touched file: O(1) durability per outcome. Reading back is a
+// K-way round-robin merge that holds one decoded outcome at a time;
+// Result materializes the merged study.Result when a caller wants the
+// final envelope.
 //
 // Byte-identity contract: outcomes arrive from the committer strictly
 // in rank order and JSON marshaling is deterministic, so the shard
-// files of any kill/resume sequence — recovered by truncating torn
-// tails and any ranks past the maximal contiguous prefix — are byte
-// identical to an uninterrupted run's, for any worker count.
+// files of any kill/resume sequence — recovered by truncating a torn
+// final line and any ranks past the maximal contiguous prefix — are
+// byte identical to an uninterrupted run's, for any worker count. A
+// damaged record anywhere else is corruption, and opening the log
+// fails loudly rather than discarding the valid records after it.
 package shardlog
 
 import (
@@ -28,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"vpnscope/internal/results"
 	"vpnscope/internal/study"
 	"vpnscope/internal/vpntest"
 )
@@ -193,8 +194,10 @@ func openRecover(dir string, meta Meta) (*Log, error) {
 }
 
 // scanShard counts the valid record prefix of one shard file: complete
-// lines that decode and carry the rank the shard position demands.
-// Anything after the first violation is a torn or stale tail.
+// lines that decode and carry the rank the shard position demands. A
+// partial or bad final line is a torn tail (a kill mid-write, which may
+// still have reached its newline); a bad line followed by more data is
+// corruption, reported with the shard file and byte offset.
 func scanShard(f *os.File, shard, k int) (n int, offsets []int64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, nil, fmt.Errorf("shardlog: %w", err)
@@ -211,7 +214,15 @@ func scanShard(f *os.File, shard, k int) (n int, offsets []int64, err error) {
 		}
 		var probe struct{ Rank int }
 		if json.Unmarshal(line, &probe) != nil || probe.Rank != shard+n*k {
-			return n, offsets, nil
+			switch _, err := r.Peek(1); err {
+			case io.EOF:
+				return n, offsets, nil // bad final line: torn tail
+			case nil:
+				return 0, nil, fmt.Errorf("shardlog: %s is corrupt at byte offset %d: the record there is not rank %d, and more records follow it",
+					f.Name(), off, shard+n*k)
+			default:
+				return 0, nil, fmt.Errorf("shardlog: %w", err)
+			}
 		}
 		off += int64(len(line))
 		n++
@@ -283,6 +294,35 @@ func (l *Log) MarkComplete() error {
 	}
 	l.complete = true
 	return nil
+}
+
+// Continue runs a campaign into the log unless the log is already
+// sealed: it resumes from the log's durable prefix (cfg.Resume), appends
+// every new outcome — then hands it to cfg.Stream, when set — and seals
+// the log once run succeeds. run is the campaign entry point, such as
+// World.RunWith; it sees the filled-in cfg.
+func (l *Log) Continue(cfg study.RunConfig, run func(study.RunConfig) (*study.Result, error)) error {
+	if l.complete {
+		return nil
+	}
+	if l.next > 0 {
+		lean, err := l.Resume()
+		if err != nil {
+			return err
+		}
+		cfg.Resume = lean
+	}
+	then := cfg.Stream
+	cfg.Stream = func(o study.Outcome) error {
+		if err := l.Append(o); err != nil || then == nil {
+			return err
+		}
+		return then(o)
+	}
+	if _, err := run(cfg); err != nil {
+		return err
+	}
+	return l.MarkComplete()
 }
 
 // Close closes the appenders. Read-side iteration opens its own
@@ -396,39 +436,52 @@ func (l *Log) WriteMergedNDJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
+// Result merges the log into the study.Result an in-memory run of the
+// same campaign returns: real reports (captures stripped), failures,
+// recoveries, and quarantines, all in rank order — so results.Save of
+// it is byte-identical to saving the uninterrupted run. It holds every
+// report in memory; bounded-memory passes use Scan or Reports instead.
+func (l *Log) Result() (*study.Result, error) { return l.merge(true) }
+
 // Resume reconstructs the lean study.Result a streaming campaign needs
 // to continue: report records become identity stubs (provider + label
-// are all the committer's done-map and rank sort read), connect
-// failures and recoveries are real, quarantines are regrouped from the
-// skip records, and VPsAttempted is the outcome count. Pass it as
-// RunConfig.Resume together with RunConfig.Stream = log.Append.
-func (l *Log) Resume() (*study.Result, error) {
+// are all the committer's prefix check reads), connect failures,
+// recoveries, and quarantines are real, and VPsAttempted is the outcome
+// count. Continue passes it as RunConfig.Resume, with Append on
+// RunConfig.Stream; callers driving a campaign by hand do the same.
+func (l *Log) Resume() (*study.Result, error) { return l.merge(false) }
+
+// merge folds the log into a Result, keeping real reports or identity
+// stubs. Quarantines are regrouped from the skip records: a provider's
+// slots are contiguous and its breaker trip is streamed together with
+// its first skip, so each skip either extends the newest quarantine or
+// opens its provider's record.
+func (l *Log) merge(reports bool) (*study.Result, error) {
 	res := &study.Result{}
-	qi := map[string]int{}
 	err := l.Scan(func(o study.Outcome) error {
 		res.VPsAttempted++
 		switch {
 		case o.Failure != nil:
 			res.ConnectFailures = append(res.ConnectFailures, *o.Failure)
 		case o.Skip != nil:
-			i, ok := qi[o.Skip.Provider]
-			if !ok {
-				i = len(res.Quarantines)
-				qi[o.Skip.Provider] = i
+			n := len(res.Quarantines)
+			if n == 0 || res.Quarantines[n-1].Provider != o.Skip.Provider {
 				res.Quarantines = append(res.Quarantines, study.Quarantine{
 					Provider:     o.Skip.Provider,
 					TrippedAfter: o.Skip.TrippedAfter,
 				})
+				n++
 			}
-			res.Quarantines[i].SkippedVPs = append(res.Quarantines[i].SkippedVPs, o.Skip.VPLabel)
+			res.Quarantines[n-1].SkippedVPs = append(res.Quarantines[n-1].SkippedVPs, o.Skip.VPLabel)
 		case o.Report != nil:
 			if o.Recovery != nil {
 				res.Recoveries = append(res.Recoveries, *o.Recovery)
 			}
-			res.Reports = append(res.Reports, &vpntest.VPReport{
-				Provider: o.Report.Provider,
-				VPLabel:  o.Report.VPLabel,
-			})
+			rep := o.Report
+			if !reports {
+				rep = &vpntest.VPReport{Provider: rep.Provider, VPLabel: rep.VPLabel}
+			}
+			res.Reports = append(res.Reports, rep)
 		default:
 			return fmt.Errorf("shardlog: rank %d carries no outcome", o.Rank)
 		}
@@ -440,21 +493,12 @@ func (l *Log) Resume() (*study.Result, error) {
 	return res, nil
 }
 
+// writeFileSync durably replaces path with data. It must be atomic: a
+// kill mid-write that left meta.json or complete.json empty or torn
+// would make the whole log unopenable.
 func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("shardlog: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("shardlog: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("shardlog: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("shardlog: %w", err)
-	}
-	return nil
+	return results.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }

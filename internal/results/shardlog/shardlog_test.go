@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vpnscope/internal/capture"
@@ -251,6 +252,101 @@ func TestRecoveryTruncatesPastPrefix(t *testing.T) {
 	}
 	if n != 7 {
 		t.Fatalf("scanned %d, want 7", n)
+	}
+}
+
+// TestCorruptMiddleRecordRefused: a damaged record with valid records
+// after it is not a torn tail. Recovery must refuse the log, naming the
+// shard file and byte offset, instead of truncating every record after
+// the damage.
+func TestCorruptMiddleRecordRefused(t *testing.T) {
+	const shards = 3
+	meta := Meta{Seed: 4, Shards: shards}
+	dir := t.TempDir()
+	writeAll(t, dir, meta, fakeOutcomes(12), false)
+	path := filepath.Join(dir, shardName(1))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 1 holds ranks 1, 4, 7, 10: flip a byte inside rank 4's line.
+	first := bytes.IndexByte(raw, '\n') + 1
+	raw[first+3] ^= 0x55
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func() (*Log, error){
+		"Open":         func() (*Log, error) { return Open(dir, meta) },
+		"OpenExisting": func() (*Log, error) { return OpenExisting(dir) },
+	} {
+		l, err := open()
+		if err == nil {
+			l.Close()
+			t.Fatalf("%s accepted a log with a corrupt middle record", name)
+		}
+		if want := fmt.Sprintf("byte offset %d", first); !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s error = %q, want it to name %s and %q", name, err, path, want)
+		}
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
+		t.Fatal("refused recovery still modified the shard file")
+	}
+}
+
+// TestTornFinalLineWithNewlineTruncated: a torn multi-block write can
+// end in a newline; as the shard's last line it is still a torn tail.
+func TestTornFinalLineWithNewlineTruncated(t *testing.T) {
+	const shards = 2
+	meta := Meta{Seed: 4, Shards: shards}
+	dir := t.TempDir()
+	outs := fakeOutcomes(6)
+	writeAll(t, dir, meta, outs, false)
+	path := filepath.Join(dir, shardName(0))
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(f, "{\"Rank\":6,\"Report\":\x00\x00\x00\n")
+	f.Close()
+	l, err := Open(dir, meta)
+	if err != nil {
+		t.Fatalf("torn final line refused: %v", err)
+	}
+	defer l.Close()
+	if l.NextRank() != 6 {
+		t.Fatalf("NextRank = %d, want 6", l.NextRank())
+	}
+	if err := l.Append(fakeOutcomes(7)[6]); err != nil {
+		t.Fatalf("append after truncating the torn line: %v", err)
+	}
+}
+
+// TestResultKeepsReports: the full merge keeps every report field the
+// lean resume view strips.
+func TestResultKeepsReports(t *testing.T) {
+	dir := t.TempDir()
+	outs := fakeOutcomes(20)
+	writeAll(t, dir, Meta{Seed: 3, Shards: 4}, outs, true)
+	l, err := OpenExisting(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	full, err := l.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lean, err := l.Resume()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.VPsAttempted != 20 || len(full.Reports) != len(lean.Reports) {
+		t.Fatalf("merged %d outcomes, %d reports; lean view has %d reports", full.VPsAttempted, len(full.Reports), len(lean.Reports))
+	}
+	for i, rep := range full.Reports {
+		if rep.ClaimedCountry != "US" || lean.Reports[i].ClaimedCountry != "" {
+			t.Fatalf("report %d: merged country %q, lean %q", i, rep.ClaimedCountry, lean.Reports[i].ClaimedCountry)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func TestCatalogSpecValidation(t *testing.T) {
 	bad := []CampaignSpec{
 		{Catalog: -1},
 		{Months: 1}, // months without catalog mode
-		{Shards: 4}, // shards without catalog mode
+		{Shards: -1},
 		{Catalog: 5, Months: -1},
 		{Catalog: 5, Shards: -2},
 		{Catalog: 5, Providers: []string{"NoSuchProvider"}},
@@ -64,6 +64,10 @@ func TestCatalogSpecValidation(t *testing.T) {
 		return &study.Result{}, nil
 	})
 	c := submitOK(t, d, CampaignSpec{Seed: 1, Catalog: 80, Providers: []string{synthetic}})
+	waitState(t, c, StateDone)
+	// Every campaign streams into a shard log, so tested mode takes a
+	// shard count too.
+	c = submitOK(t, d, CampaignSpec{Seed: 1, Shards: 4})
 	waitState(t, c, StateDone)
 }
 

@@ -3,9 +3,10 @@
 //	POST   /campaigns             submit a CampaignSpec → 202 {id}
 //	GET    /campaigns             list campaigns
 //	GET    /campaigns/{id}        status JSON
-//	GET    /campaigns/{id}/result final envelope (200 once done)
-//	GET    /campaigns/{id}/outcomes merged shard-log NDJSON (catalog
-//	                              campaigns; ?month=N selects a month)
+//	GET    /campaigns/{id}/result final envelope, or a catalog
+//	                              campaign's summary (200 once done)
+//	GET    /campaigns/{id}/outcomes merged shard-log NDJSON once sealed
+//	                              (?month=N selects a catalog month)
 //	GET    /campaigns/{id}/events NDJSON progress stream (tails live)
 //	DELETE /campaigns/{id}        cancel
 //	GET    /campaigns/{id}/metricsz campaign-scoped metrics (JSON, or
@@ -32,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -137,10 +139,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxSpecBytes bounds a submission body; a spec is a few hundred bytes.
+const maxSpecBytes = 1 << 20
+
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec CampaignSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("decoding spec: %v", err)})
+	spec, err := decodeSpec(w, r)
+	if err != nil {
+		status := http.StatusBadRequest
+		if mbe := new(http.MaxBytesError); errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, map[string]string{"error": fmt.Sprintf("decoding spec: %v", err)})
 		return
 	}
 	c, err := d.Submit(spec)
@@ -160,16 +169,32 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
 	}
-	accepted := map[string]string{
-		"id":     c.id,
-		"status": "/campaigns/" + c.id,
-		"events": "/campaigns/" + c.id + "/events",
-		"result": "/campaigns/" + c.id + "/result",
+	writeJSON(w, http.StatusAccepted, map[string]string{
+		"id":       c.id,
+		"status":   "/campaigns/" + c.id,
+		"events":   "/campaigns/" + c.id + "/events",
+		"result":   "/campaigns/" + c.id + "/result",
+		"outcomes": "/campaigns/" + c.id + "/outcomes",
+	})
+}
+
+// decodeSpec reads exactly one CampaignSpec object from a size-bounded
+// body: unknown fields (a misspelled option would otherwise be silently
+// dropped) and trailing data are errors.
+func decodeSpec(w http.ResponseWriter, r *http.Request) (CampaignSpec, error) {
+	var spec CampaignSpec
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
 	}
-	if c.spec.Catalog > 0 {
-		accepted["outcomes"] = "/campaigns/" + c.id + "/outcomes"
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the spec object")
+		}
+		return spec, err
 	}
-	writeJSON(w, http.StatusAccepted, accepted)
+	return spec, nil
 }
 
 // statusView is the wire form of a campaign's status.
@@ -254,19 +279,13 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 	http.ServeContent(w, r, c.id+".result.json", time.Time{}, f)
 }
 
-// handleOutcomes streams a catalog campaign's merged outcome log as
-// NDJSON, in rank order, straight off the shard files — the result set
-// is never materialized. Only sealed logs are served: opening an
-// unsealed log would run recovery against files the committer is still
-// appending to.
+// handleOutcomes streams a campaign's merged outcome log as NDJSON, in
+// rank order, straight off the shard files — the result set is never
+// materialized. Only sealed logs are served: opening an unsealed log
+// would run recovery against files the committer is still appending to.
 func (d *Daemon) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 	c, ok := d.campaignOr404(w, r)
 	if !ok {
-		return
-	}
-	if c.spec.Catalog == 0 {
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "campaign " + c.id + " has no outcome log (not a catalog campaign)"})
 		return
 	}
 	month := 0

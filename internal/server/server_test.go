@@ -15,11 +15,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
+	"vpnscope/internal/vpntest"
 )
 
 // withSeams swaps the world-build and study-run seams for the duration
@@ -363,12 +366,12 @@ func TestRecoveryPreservesTerminalStates(t *testing.T) {
 }
 
 func TestEventsStreamAndResultEndpoint(t *testing.T) {
+	rep := &vpntest.VPReport{Provider: "Mullvad", VPLabel: "mullvad-1 (SE)", ClaimedCountry: "SE"}
 	withSeams(t, instantWorld, func(_ *study.World, cfg study.RunConfig) (*study.Result, error) {
-		res := &study.Result{VPsAttempted: 1}
-		if err := cfg.Checkpoint(res); err != nil {
+		if err := cfg.Stream(study.Outcome{Rank: 0, Report: rep}); err != nil {
 			return nil, err
 		}
-		return res, nil
+		return &study.Result{VPsAttempted: 1}, nil
 	})
 	d := newTestDaemon(t, Config{FleetWorkers: 1})
 	srv := httptest.NewServer(d.Handler())
@@ -426,18 +429,109 @@ func TestEventsStreamAndResultEndpoint(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("result = %d, want 200", resp.StatusCode)
 	}
-	wantEnv, err := EnvelopeBytes(CampaignSpec{Seed: 9}, &study.Result{VPsAttempted: 1})
+	wantEnv, err := EnvelopeBytes(CampaignSpec{Seed: 9}, &study.Result{VPsAttempted: 1, Reports: []*vpntest.VPReport{rep}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body.Bytes(), wantEnv) {
 		t.Fatalf("result bytes differ from envelope (%d vs %d bytes)", body.Len(), len(wantEnv))
 	}
+
+	// A tested campaign's sealed outcome log is served like a catalog
+	// campaign's: one NDJSON line per outcome.
+	resp, err = http.Get(srv.URL + accepted["outcomes"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body.Reset()
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 || bytes.Count(body.Bytes(), []byte("\n")) != 1 {
+		t.Fatalf("outcomes = %d with %q, want 200 and one NDJSON line", resp.StatusCode, body.String())
+	}
+}
+
+// TestSubmitRejectsMalformedBodies: an oversized body, an unknown
+// (misspelled) field, or data trailing the spec object is a 4xx, and
+// no spec file is written for it.
+func TestSubmitRejectsMalformedBodies(t *testing.T) {
+	stateDir := t.TempDir()
+	d := newTestDaemon(t, Config{StateDir: stateDir, FleetWorkers: 1})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	cases := map[string]string{
+		"oversized":        `{"seed":1,"tenant":"` + strings.Repeat("x", maxSpecBytes) + `"}`,
+		"misspelled field": `{"seed":1,"fault_profle":"lossy"}`,
+		"trailing garbage": `{"seed":1} {"seed":2}`,
+		"trailing junk":    `{"seed":1}xyz`,
+	}
+	for name, body := range cases {
+		resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("%s: status %d, want 4xx", name, resp.StatusCode)
+		}
+	}
+	specs, err := filepath.Glob(filepath.Join(stateDir, "*.spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 0 || len(d.Campaigns()) != 0 {
+		t.Fatalf("malformed submissions admitted: spec files %v, campaigns %d", specs, len(d.Campaigns()))
+	}
+}
+
+// TestLegacyCheckpointRefused: state left by a daemon version that kept
+// a whole-result <id>.ckpt.json is not resumed or imported. Recovery
+// marks the campaign failed, durably, with an error naming the file and
+// asking for resubmission.
+func TestLegacyCheckpointRefused(t *testing.T) {
+	withSeams(t, instantWorld, func(*study.World, study.RunConfig) (*study.Result, error) {
+		t.Error("a legacy-checkpoint campaign was run")
+		return &study.Result{}, nil
+	})
+	stateDir := t.TempDir()
+	raw, err := json.Marshal(specFile{ID: "c00000001", Spec: CampaignSpec{Seed: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"c00000001.spec.json": raw,
+		"c00000001.ckpt.json": []byte(`{"schema":2,"seed":5,"complete":false,"reports":[]}`),
+	} {
+		if err := os.WriteFile(filepath.Join(stateDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for life := 0; life < 2; life++ {
+		d := newTestDaemon(t, Config{StateDir: stateDir, FleetWorkers: 1})
+		c, ok := d.Campaign("c00000001")
+		if !ok {
+			t.Fatal("legacy campaign not recovered")
+		}
+		st := c.status()
+		if st.State != StateFailed || !strings.Contains(st.Error, "c00000001.ckpt.json") || !strings.Contains(st.Error, "resubmit") {
+			t.Fatalf("life %d: legacy campaign state %s, error %q; want failed naming the file and asking to resubmit",
+				life, st.State, st.Error)
+		}
+		d.Drain()
+	}
+	if !exists(filepath.Join(stateDir, "c00000001.error")) {
+		t.Error("refusal left no error marker")
+	}
+	if exists(filepath.Join(stateDir, "c00000001.outcomes")) {
+		t.Error("refused campaign opened an outcome log")
+	}
 }
 
 // TestDaemonRealCampaignDrainResumeByteIdentical runs the real engine:
 // a campaign is interrupted mid-run by a drain, a second daemon resumes
-// its checkpoint, and the final envelope is byte-identical to the same
+// its outcome log, and the final envelope is byte-identical to the same
 // spec run uninterrupted in one shot.
 func TestDaemonRealCampaignDrainResumeByteIdentical(t *testing.T) {
 	spec := CampaignSpec{
@@ -454,7 +548,7 @@ func TestDaemonRealCampaignDrainResumeByteIdentical(t *testing.T) {
 	c := submitOK(t, d, spec)
 
 	// Wait for at least one committed slot so the drain interrupts a
-	// campaign with a real checkpoint to resume.
+	// campaign with a real outcome log to resume.
 	deadline := time.Now().Add(30 * time.Second)
 	for c.status().SlotsDone < 1 {
 		if time.Now().After(deadline) {
@@ -468,8 +562,11 @@ func TestDaemonRealCampaignDrainResumeByteIdentical(t *testing.T) {
 		t.Fatalf("after drain: state = %s, want interrupted (or done if it outran us)", st.State)
 	}
 	if st.State == StateInterrupted {
-		if _, err := os.Stat(d.ckptPath(c.id)); err != nil {
-			t.Fatalf("interrupted campaign has no checkpoint: %v", err)
+		if shardlog.Sealed(d.outcomesDir(c.id)) {
+			t.Fatal("interrupted campaign's outcome log is sealed")
+		}
+		if _, err := os.Stat(d.outcomesDir(c.id)); err != nil {
+			t.Fatalf("interrupted campaign has no outcome log: %v", err)
 		}
 	}
 

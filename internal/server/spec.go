@@ -2,9 +2,9 @@
 // that accepts campaign specs over an HTTP/JSON API, multiplexes
 // concurrent campaigns over a bounded shared worker fleet (and the
 // study package's world-template cache), streams progress events, and
-// survives crashes — every running campaign checkpoints after each
-// vantage-point outcome, and a restarted daemon resumes all in-flight
-// campaigns byte-identically to an uninterrupted run.
+// survives crashes — every running campaign appends each vantage-point
+// outcome to its shard log, and a restarted daemon resumes all
+// in-flight campaigns byte-identically to an uninterrupted run.
 //
 // The robustness contract, stated once and tested in chaos_test.go:
 //
@@ -22,7 +22,7 @@
 //     was queued, preempted, crashed, and resumed is byte-identical to
 //     the same spec run uninterrupted in one shot (RunOneShot), because
 //     the study layer's slot-aligned determinism contract makes every
-//     checkpoint a resumable pure prefix.
+//     outcome log a resumable pure prefix.
 package server
 
 import (
@@ -41,24 +41,24 @@ import (
 // CampaignSpec is the submission payload: everything a campaign needs
 // to be reproduced from scratch. A spec is the unit of durability — the
 // daemon persists it verbatim at admission, and crash recovery re-runs
-// it (resuming its checkpoint) with no other state.
+// it (resuming its outcome log) with no other state.
 type CampaignSpec struct {
 	// Seed drives every stochastic element of the world and campaign.
 	Seed uint64 `json:"seed"`
 	// Catalog, when > 0, switches the campaign to ecosystem mode: the
 	// world is assembled from the first Catalog entries of the synthetic
 	// provider catalog (hand-built specs for the tested 62, procedurally
-	// derived profiles with planted ground truth for the rest), and
-	// outcomes stream into a sharded append-only log instead of a
-	// monolithic checkpoint. Zero = legacy tested-catalog mode.
+	// derived profiles with planted ground truth for the rest), and the
+	// result is a bounded summary rather than the full envelope. Zero =
+	// tested-catalog mode.
 	Catalog int `json:"catalog,omitempty"`
 	// Months, in catalog mode, re-audits the catalog at virtual months
 	// 1..Months after the baseline (month 0), one shard log per month.
 	// Zero = baseline only. Requires Catalog > 0: tested providers
 	// never drift.
 	Months int `json:"months,omitempty"`
-	// Shards is the outcome-log shard count in catalog mode (zero =
-	// shardlog.DefaultShards). Requires Catalog > 0.
+	// Shards is the outcome-log shard count (zero =
+	// shardlog.DefaultShards).
 	Shards int `json:"shards,omitempty"`
 	// Providers restricts the campaign to a subset of the tested
 	// catalog (empty = all 62) — or, in catalog mode, to a subset of
@@ -105,13 +105,8 @@ func (s *CampaignSpec) validate() error {
 	if s.Catalog < 0 {
 		return fmt.Errorf("server: negative catalog size")
 	}
-	if s.Catalog == 0 {
-		if s.Months != 0 {
-			return fmt.Errorf("server: months requires catalog mode (tested providers never drift)")
-		}
-		if s.Shards != 0 {
-			return fmt.Errorf("server: shards requires catalog mode")
-		}
+	if s.Catalog == 0 && s.Months != 0 {
+		return fmt.Errorf("server: months requires catalog mode (tested providers never drift)")
 	}
 	if s.Months < 0 {
 		return fmt.Errorf("server: negative months")
@@ -200,8 +195,8 @@ func (s *CampaignSpec) buildOptions(month int) study.Options {
 }
 
 // envelopeOptions are the serialization options every envelope of this
-// spec — checkpoints and final results, daemon-run or one-shot — is
-// written with, so byte comparison across paths is meaningful.
+// spec — daemon-run or one-shot — is written with, so byte comparison
+// across paths is meaningful.
 func (s *CampaignSpec) envelopeOptions() []results.Option {
 	opts := []results.Option{results.WithSeed(s.Seed)}
 	if s.FaultProfile != "" {
@@ -210,16 +205,14 @@ func (s *CampaignSpec) envelopeOptions() []results.Option {
 	return opts
 }
 
-// runConfig assembles the study.RunConfig for this spec. checkpoint and
-// resume may be nil.
-func (s *CampaignSpec) runConfig(ctx context.Context, workers int, checkpoint func(*study.Result) error, resume *study.Result) study.RunConfig {
+// runConfig assembles the study.RunConfig for this spec; the daemon
+// adds its outcome-log stream, resume, and flight recorder.
+func (s *CampaignSpec) runConfig(ctx context.Context, workers int) study.RunConfig {
 	return study.RunConfig{
 		ConnectAttempts: s.ConnectAttempts,
 		QuarantineAfter: s.QuarantineAfter,
 		Parallel:        workers,
 		Ctx:             ctx,
-		Checkpoint:      checkpoint,
-		Resume:          resume,
 	}
 }
 
@@ -251,8 +244,7 @@ var runStudyFn = func(w *study.World, cfg study.RunConfig) (*study.Result, error
 // daemon, queue, or persistence — the reference execution the daemon's
 // crash-recovery chaos tests compare against, and the engine behind
 // `vpnscoped -oneshot`. Catalog specs run their month-0 baseline with
-// the result retained in memory; the streaming shard-log path is
-// daemon-only.
+// the result retained in memory; the shard-log path is daemon-only.
 func RunOneShot(ctx context.Context, spec CampaignSpec) (*study.Result, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -266,7 +258,7 @@ func RunOneShot(ctx context.Context, spec CampaignSpec) (*study.Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutSec*float64(time.Second)))
 		defer cancel()
 	}
-	return runStudyFn(w, spec.runConfig(ctx, spec.Workers, nil, nil))
+	return runStudyFn(w, spec.runConfig(ctx, spec.Workers))
 }
 
 // EnvelopeBytes serializes a result under the spec's envelope options —

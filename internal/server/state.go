@@ -2,17 +2,23 @@
 // memory:
 //
 //	<id>.spec.json         the submission, fsynced before admission succeeds
-//	<id>.ckpt.json         the latest checkpoint (atomic rename per outcome)
-//	<id>.result.json       the final envelope of a finished campaign
+//	<id>.outcomes/         the campaign's shard log(s), one fsynced
+//	                       NDJSON line per outcome (see runner.go)
+//	<id>.result.json       the final artifact of a finished campaign
 //	<id>.error             the terminal-failure marker (never resumed)
 //	<id>.flightrec.ndjson  flight-recorder dump (panic/cancel/watchdog)
 //	<id>.stacks.txt        goroutine stacks accompanying a dump
 //
 // Crash recovery is a pure function of this layout: spec with result →
-// done; spec with error marker → failed; spec alone (checkpoint or
-// not) → in-flight, re-queued in admission order and resumed. Every
-// file is written atomically (results.WriteFileAtomic), so a kill -9
-// at any instant leaves a directory recovery can always parse.
+// done; spec with error marker → failed; spec alone → in-flight,
+// re-queued in admission order, its outcome log reopened and resumed.
+// The single files are written atomically (results.WriteFileAtomic) and
+// the log recovers its contiguous prefix, so a kill -9 at any instant
+// leaves a directory recovery can always parse.
+//
+// A <id>.ckpt.json left by an older daemon version (which rewrote a
+// whole-result checkpoint after every outcome) is refused loudly: the
+// campaign is marked failed with a marker asking for resubmission.
 package server
 
 import (
@@ -33,7 +39,6 @@ import (
 var writeFileAtomic = results.WriteFileAtomic
 
 func (d *Daemon) specPath(id string) string { return filepath.Join(d.cfg.StateDir, id+".spec.json") }
-func (d *Daemon) ckptPath(id string) string { return filepath.Join(d.cfg.StateDir, id+".ckpt.json") }
 func (d *Daemon) resultPath(id string) string {
 	return filepath.Join(d.cfg.StateDir, id+".result.json")
 }
@@ -155,9 +160,18 @@ func (d *Daemon) recoverState() error {
 				c.errText = string(msg)
 			}
 			c.events = append(c.events, Event{Type: string(StateFailed), Detail: c.errText})
+		case exists(filepath.Join(d.cfg.StateDir, id+".ckpt.json")):
+			// An older daemon's whole-result checkpoint. It holds outcomes
+			// in an order only that version could re-derive; refuse it
+			// rather than resume a different campaign than was measured.
+			c.state = StateFailed
+			c.errText = fmt.Sprintf("legacy checkpoint %s.ckpt.json is no longer supported; resubmit the spec to rerun the campaign", id)
+			d.writeErrorMarker(id, c.errText)
+			c.events = append(c.events, Event{Type: string(StateFailed), Detail: c.errText})
+			d.cfg.Logf("campaign %s: %s", id, c.errText)
 		default:
-			// In-flight at crash or drain: requeue. The runner finds and
-			// resumes the checkpoint file, when one exists.
+			// In-flight at crash or drain: requeue. The runner reopens and
+			// resumes the campaign's outcome log, when one exists.
 			c.state = StateQueued
 			c.events = append(c.events, Event{Type: string(StateQueued), Detail: "recovered"})
 			d.queue = append(d.queue, c)

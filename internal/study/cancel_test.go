@@ -1,6 +1,6 @@
 // Cooperative-cancellation validation: RunConfig.Ctx must stop a
 // campaign only at vantage-point slot boundaries, so every committed
-// outcome is already checkpointed and the checkpoint resumes
+// outcome is already in the outcome log and the log resumes
 // byte-identically — the invariant the vpnscoped daemon's drain and
 // deadline paths are built on.
 package study_test
@@ -11,11 +11,10 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"vpnscope/internal/faultsim"
-	"vpnscope/internal/results"
+	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
 )
 
@@ -37,28 +36,26 @@ func TestCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// runCanceledAt runs a lossy campaign canceling the context after the
-// k-th checkpoint, then resumes the checkpoint file to completion and
-// returns the final envelope.
+// runCanceledAt streams a lossy campaign into an outcome log, canceling
+// the context once k outcomes are durable, then resumes the log to
+// completion and returns the envelope of the Result merged from it.
 func runCanceledAt(t *testing.T, build func() *study.World, dir string, k, killPar, resumePar int) []byte {
 	t.Helper()
-	path := filepath.Join(dir, fmt.Sprintf("cancel-%d.json", k))
-	ck := results.CheckpointFunc(path, results.WithSeed(2018), results.WithFaultProfile("lossy"))
+	dir = filepath.Join(dir, fmt.Sprintf("cancel-%d", k))
+	l, err := shardlog.Open(dir, lossyMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var mu sync.Mutex
-	count := 0
-	_, err := build().RunWith(study.RunConfig{
+	_, err = build().RunWith(study.RunConfig{
 		Ctx:      ctx,
 		Parallel: killPar,
-		Checkpoint: func(r *study.Result) error {
-			if err := ck(r); err != nil {
+		Stream: func(o study.Outcome) error {
+			if err := l.Append(o); err != nil {
 				return err
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			count++
-			if count == k {
+			if l.NextRank() == k {
 				cancel()
 			}
 			return nil
@@ -67,26 +64,15 @@ func runCanceledAt(t *testing.T, build func() *study.World, dir string, k, killP
 	if !errors.Is(err, study.ErrCanceled) {
 		t.Fatalf("cancel at %d: err = %v, want ErrCanceled", k, err)
 	}
-
-	partial, env, err := results.LoadFile(path)
-	if err != nil {
-		t.Fatalf("cancel at %d: loading checkpoint: %v", k, err)
+	if l.NextRank() < k {
+		t.Fatalf("cancel at %d: log has %d outcomes, want >= %d", k, l.NextRank(), k)
 	}
-	if env.Seed != 2018 {
-		t.Fatalf("cancel at %d: checkpoint seed = %d", k, env.Seed)
-	}
-	if partial.VPsAttempted < k {
-		t.Fatalf("cancel at %d: checkpoint has %d outcomes, want >= %d", k, partial.VPsAttempted, k)
-	}
-	res, err := build().RunWith(study.RunConfig{Parallel: resumePar, Resume: partial})
-	if err != nil {
-		t.Fatalf("cancel at %d: resume: %v", k, err)
-	}
-	return envelope(t, res)
+	l.Close()
+	return envelope(t, resumeFromLog(t, build, dir, study.RunConfig{Parallel: resumePar}))
 }
 
 // TestCancelResumeByteIdentical is the quick (-short) form: cancel a
-// sequential and a parallel campaign mid-run, resume each checkpoint,
+// sequential and a parallel campaign mid-run, resume each outcome log,
 // and require the uninterrupted envelope.
 func TestCancelResumeByteIdentical(t *testing.T) {
 	build := func() *study.World {
@@ -130,8 +116,8 @@ func TestCancelResumeFuzz(t *testing.T) {
 	}
 	refBytes := envelope(t, ref)
 	dir := t.TempDir()
-	// Canceling after the final checkpoint would never fire before the
-	// run finishes, so fuzz the boundaries strictly inside the campaign.
+	// Canceling after the final outcome would never fire before the run
+	// finishes, so fuzz the boundaries strictly inside the campaign.
 	for k := 1; k < ref.VPsAttempted; k++ {
 		killPar, resumePar := 1, 8
 		if k%2 == 0 {

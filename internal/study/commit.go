@@ -1,58 +1,29 @@
-// Incremental canonical committer: the single authority over result
-// ordering for both the sequential and the parallel campaign paths.
+// Canonical committer: the single authority over result ordering for
+// both the sequential and the parallel campaign paths.
 //
-// The old checkpoint path re-copied and re-sorted the entire Result
-// after every recorded vantage point (O(slots²) over a campaign). The
-// committer replaces it with an append-only canonical prefix plus a
-// rank-sorted queue of resumed records:
-//
-//   - Specs are committed strictly in canonical (slot-rank) order, so
-//     newly recorded outcomes append to the prefix already sorted.
-//   - A resumed checkpoint's records are sorted once by rank at
-//     construction (O(R log R)) and migrated into the prefix by
-//     monotone front pointers as commits pass their rank — before
-//     committing a spec with order o, every pending record with rank
-//     < o moves over; a pending record with rank == o IS that spec's
-//     resumed outcome (replayed, not re-measured).
-//   - A checkpoint snapshot is the cap-clamped prefix plus the not-yet-
-//     migrated pending tail: O(new outcomes) for a fresh campaign (four
-//     slice headers and one Result), O(remaining tail) when resuming.
-//
-// This reproduces exactly what sort-the-whole-Result produced at every
-// checkpoint: each record is either new (committed at its own rank) or
-// resumed (migrated at its rank), ranks never duplicate between the
-// two, and equal unknown ranks keep their resume order (stable sort at
-// construction, FIFO migration afterwards).
+// Specs are committed strictly in canonical (slot-rank) order, so every
+// newly recorded outcome appends to the Result already sorted. A resumed
+// campaign always comes from an outcome log, and a log is a contiguous
+// rank prefix [0, N): the committer seeds the Result with the resumed
+// failures, recoveries, and quarantines (which arrive in rank order),
+// replays the first N slots into the quarantine breaker without
+// re-measuring them, and appends everything after. There is no rank
+// re-derivation and no merge of out-of-order records: a Resume that is
+// not exactly the first N slots is refused up front.
 package study
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"vpnscope/internal/flightrec"
 	"vpnscope/internal/telemetry"
-	"vpnscope/internal/vpntest"
 )
 
 // committerWorker tags flight-recorder events emitted on the committing
 // goroutine (as opposed to a measuring worker).
 const committerWorker = -1
-
-type pendReport struct {
-	rank int
-	rep  *vpntest.VPReport
-}
-
-type pendFailure struct {
-	rank int
-	cf   ConnectFailure
-}
-
-type pendRecovery struct {
-	rank int
-	rec  Recovery
-}
 
 // provState is the per-provider circuit-breaker state the committer
 // replays in slot order — the one intra-provider ordering dependency of
@@ -66,26 +37,14 @@ type provState struct {
 // goroutine-safe: the parallel executor drives it from a single
 // committing goroutine.
 type committer struct {
-	cfg  *RunConfig
-	rank slotRank
-	res  *Result // live canonical result; slices are append-only prefixes
+	cfg *RunConfig
+	res *Result // live canonical result; slices only ever append
 
-	done map[string]vpOutcome // vpKey → resumed outcome
-	prov map[int]*provState   // provider index → breaker state
-
-	pendReps   []pendReport
-	pendCFs    []pendFailure
-	pendRecs   []pendRecovery
-	pr, pf, pc int // migration front pointers
-
-	// Chunked scratch for objects handed out by snapshot(). Every
-	// checkpoint must give the callback freshly allocated, never-reused
-	// memory (snapshots are documented frozen, and resume paths retain
-	// them), but nothing says each snapshot needs its own malloc: these
-	// chunks are carved into one-shot pieces, so a campaign of N
-	// checkpoints costs N/snapChunkLen allocations instead of N.
-	snapChunk []Result
-	quarChunk []Quarantine
+	// resumed holds the outcome of every resumed slot, indexed by rank:
+	// slots [0, len(resumed)) are replayed, never measured.
+	resumed []vpOutcome
+	prov    map[int]*provState // provider index → breaker state
+	// provChunk amortizes provState allocation across providers.
 	provChunk []provState
 
 	// onQuarantine, when set, is notified the moment a provider's
@@ -95,49 +54,76 @@ type committer struct {
 	onQuarantine func(provIdx int)
 }
 
-// newCommitter builds the committer, absorbing cfg.Resume into the
-// pending queues and the done map.
-func newCommitter(cfg *RunConfig, rank slotRank) *committer {
-	c := &committer{
-		cfg:  cfg,
-		rank: rank,
-		res:  &Result{},
-		done: make(map[string]vpOutcome),
-		prov: make(map[int]*provState),
-	}
+// newCommitter builds the committer for specs, absorbing cfg.Resume.
+func newCommitter(cfg *RunConfig, specs []slotSpec) (*committer, error) {
+	c := &committer{cfg: cfg, res: &Result{}, prov: make(map[int]*provState)}
 	prev := cfg.Resume
 	if prev == nil {
-		return c
+		return c, nil
 	}
+	if cfg.Stream == nil {
+		// Resumed reports live only in the caller's outcome log; without
+		// a stream continuing that log they would silently vanish.
+		return nil, errors.New("study: RunConfig.Resume requires Stream (resumed reports live in the caller's outcome log)")
+	}
+	resumed, err := resumedPrefix(prev, specs)
+	if err != nil {
+		return nil, err
+	}
+	c.resumed = resumed
 	c.res.VPsAttempted = prev.VPsAttempted
-	for _, rep := range prev.Reports {
-		c.pendReps = append(c.pendReps, pendReport{rank.vpRank(rep.Provider, rep.VPLabel), rep})
-		c.done[vpKey(rep.Provider, rep.VPLabel)] = outcomeMeasured
-	}
-	for _, cf := range prev.ConnectFailures {
-		c.pendCFs = append(c.pendCFs, pendFailure{rank.vpRank(cf.Provider, cf.VPLabel), cf})
-		c.done[vpKey(cf.Provider, cf.VPLabel)] = outcomeFailed
-	}
-	for _, rec := range prev.Recoveries {
-		c.pendRecs = append(c.pendRecs, pendRecovery{rank.vpRank(rec.Provider, rec.VPLabel), rec})
-	}
-	sort.SliceStable(c.pendReps, func(i, j int) bool { return c.pendReps[i].rank < c.pendReps[j].rank })
-	sort.SliceStable(c.pendCFs, func(i, j int) bool { return c.pendCFs[i].rank < c.pendCFs[j].rank })
-	sort.SliceStable(c.pendRecs, func(i, j int) bool { return c.pendRecs[i].rank < c.pendRecs[j].rank })
+	c.res.ConnectFailures = append(c.res.ConnectFailures, prev.ConnectFailures...)
+	c.res.Recoveries = append(c.res.Recoveries, prev.Recoveries...)
 	for _, q := range prev.Quarantines {
-		c.res.Quarantines = append(c.res.Quarantines, Quarantine{
-			Provider:     q.Provider,
-			TrippedAfter: q.TrippedAfter,
-			SkippedVPs:   append([]string(nil), q.SkippedVPs...),
-		})
-		for _, label := range q.SkippedVPs {
-			c.done[vpKey(q.Provider, label)] = outcomeSkipped
+		q.SkippedVPs = append([]string(nil), q.SkippedVPs...)
+		c.res.Quarantines = append(c.res.Quarantines, q)
+	}
+	return c, nil
+}
+
+// resumedPrefix checks that prev holds exactly the outcomes of
+// specs[:prev.VPsAttempted], in rank order, and classifies each one. It
+// walks the three record lists with one cursor each: every slot of the
+// prefix must be the next unconsumed report, failure, or quarantine
+// skip, and nothing may be left over.
+func resumedPrefix(prev *Result, specs []slotSpec) ([]vpOutcome, error) {
+	n := prev.VPsAttempted
+	if n > len(specs) {
+		return nil, fmt.Errorf("study: resume holds %d outcomes but the campaign has %d slots", n, len(specs))
+	}
+	out := make([]vpOutcome, n)
+	var ri, fi, qi, si int
+	for i, s := range specs[:n] {
+		switch {
+		case ri < len(prev.Reports) && prev.Reports[ri].Provider == s.provider && prev.Reports[ri].VPLabel == s.label:
+			out[i] = outcomeMeasured
+			ri++
+		case fi < len(prev.ConnectFailures) && prev.ConnectFailures[fi].Provider == s.provider && prev.ConnectFailures[fi].VPLabel == s.label:
+			out[i] = outcomeFailed
+			fi++
+		case qi < len(prev.Quarantines) && prev.Quarantines[qi].Provider == s.provider &&
+			si < len(prev.Quarantines[qi].SkippedVPs) && prev.Quarantines[qi].SkippedVPs[si] == s.label:
+			out[i] = outcomeSkipped
+			if si++; si == len(prev.Quarantines[qi].SkippedVPs) {
+				qi, si = qi+1, 0
+			}
+		default:
+			return nil, fmt.Errorf("study: resume is not the first %d slots: slot %d (%s %s) has no resumed outcome in rank order",
+				n, i, s.provider, s.label)
 		}
 	}
-	sort.SliceStable(c.res.Quarantines, func(i, j int) bool {
-		return rank.provRank(c.res.Quarantines[i].Provider) < rank.provRank(c.res.Quarantines[j].Provider)
-	})
-	return c
+	switch {
+	case ri < len(prev.Reports):
+		return nil, fmt.Errorf("study: resume is not the first %d slots: report for %s %s lies outside them",
+			n, prev.Reports[ri].Provider, prev.Reports[ri].VPLabel)
+	case fi < len(prev.ConnectFailures):
+		return nil, fmt.Errorf("study: resume is not the first %d slots: failure for %s %s lies outside them",
+			n, prev.ConnectFailures[fi].Provider, prev.ConnectFailures[fi].VPLabel)
+	case qi < len(prev.Quarantines):
+		return nil, fmt.Errorf("study: resume is not the first %d slots: quarantine skip for %s lies outside them",
+			n, prev.Quarantines[qi].Provider)
+	}
+	return out, nil
 }
 
 func (c *committer) provState(idx int) *provState {
@@ -153,51 +139,23 @@ func (c *committer) provState(idx int) *provState {
 	return st
 }
 
-// migrate moves pending resumed records with rank < lim into the
-// canonical prefix. The front pointers only ever advance, so total
-// migration work over a whole campaign is O(resumed records).
-//
-// In streaming mode resumed report records are rank-tracking stubs
-// reconstructed from the caller's outcome log (identity fields only);
-// they advance the front pointer but are not retained — the log, not
-// the Result, is the report store.
-func (c *committer) migrate(lim int) {
-	for c.pr < len(c.pendReps) && c.pendReps[c.pr].rank < lim {
-		if c.cfg.Stream == nil {
-			c.res.Reports = append(c.res.Reports, c.pendReps[c.pr].rep)
-		}
-		c.pr++
-	}
-	for c.pf < len(c.pendCFs) && c.pendCFs[c.pf].rank < lim {
-		c.res.ConnectFailures = append(c.res.ConnectFailures, c.pendCFs[c.pf].cf)
-		c.pf++
-	}
-	for c.pc < len(c.pendRecs) && c.pendRecs[c.pc].rank < lim {
-		c.res.Recoveries = append(c.res.Recoveries, c.pendRecs[c.pc].rec)
-		c.pc++
-	}
-}
-
 // prepare advances the canonical state to spec s and reports whether s
-// still needs a measurement. It migrates every pending record due
-// before s, replays s's resumed outcome into the breaker state (no
-// re-measurement, no checkpoint — matching the sequential runner's
-// resume semantics), trips the breaker when the streak demands it, and
-// skip-commits (record + checkpoint) when the provider is quarantined.
+// still needs a measurement. A resumed slot replays its outcome into
+// the breaker state (no re-measurement, nothing streamed); otherwise
+// prepare trips the breaker when the streak demands it and skip-commits
+// (record + stream) when the provider is quarantined.
 func (c *committer) prepare(s slotSpec) (needMeasure bool, err error) {
 	st := c.provState(s.provIdx)
-	if outcome := c.done[s.key]; outcome != outcomeNone {
-		// Resumed: its own records carry rank == s.order.
-		c.migrate(s.order + 1)
+	if s.slot < len(c.resumed) {
 		if tel := telemetry.Active(); tel != nil {
 			tel.M.SlotsDone.Add(1)
 			tel.M.SlotsResumed.Add(1)
 		}
 		c.cfg.Flight.Record(flightrec.Event{
 			Kind: flightrec.SlotResume, Worker: committerWorker,
-			Slot: s.order, Provider: s.provider, VP: s.label,
+			Slot: s.slot, Provider: s.provider, VP: s.label,
 		})
-		switch outcome {
+		switch c.resumed[s.slot] {
 		case outcomeMeasured:
 			st.streak = 0
 		case outcomeFailed:
@@ -212,16 +170,17 @@ func (c *committer) prepare(s slotSpec) (needMeasure bool, err error) {
 		}
 		return false, nil
 	}
-	c.migrate(s.order)
 	if !st.quarantined && c.cfg.QuarantineAfter > 0 && st.streak >= c.cfg.QuarantineAfter {
-		c.insertQuarantine(Quarantine{Provider: s.provider, TrippedAfter: st.streak})
+		// Providers' slots are contiguous and commit in order, so a
+		// fresh trip record lands after every earlier provider's.
+		c.res.Quarantines = append(c.res.Quarantines, Quarantine{Provider: s.provider, TrippedAfter: st.streak})
 		st.quarantined = true
 		if tel := telemetry.Active(); tel != nil {
 			tel.M.QuarantineTrips.Add(1)
 		}
 		c.cfg.Flight.Record(flightrec.Event{
 			Kind: flightrec.QuarantineTrip, Worker: committerWorker,
-			Slot: s.order, Provider: s.provider, V1: int64(st.streak),
+			Slot: s.slot, Provider: s.provider, V1: int64(st.streak),
 		})
 		if c.onQuarantine != nil {
 			c.onQuarantine(s.provIdx)
@@ -233,53 +192,25 @@ func (c *committer) prepare(s slotSpec) (needMeasure bool, err error) {
 			tel.M.SlotsDone.Add(1)
 			tel.M.QuarantineSkipped.Add(1)
 		}
-		qi := -1
-		for i := range c.res.Quarantines {
-			if c.res.Quarantines[i].Provider == s.provider {
-				qi = i
-			}
-		}
-		if qi < 0 {
-			// Breaker closed by a resumed skip, but the interrupted
-			// run's quarantine record is missing from the checkpoint.
-			return false, fmt.Errorf("study: resumed quarantine record missing for %s", s.provider)
-		}
-		c.res.Quarantines[qi].SkippedVPs = append(c.res.Quarantines[qi].SkippedVPs, s.label)
+		// The provider's quarantine is the newest record: it was either
+		// tripped just now or resumed as the prefix's last provider.
+		q := &c.res.Quarantines[len(c.res.Quarantines)-1]
+		q.SkippedVPs = append(q.SkippedVPs, s.label)
 		c.cfg.Flight.Record(flightrec.Event{
 			Kind: flightrec.QuarantineSkip, Worker: committerWorker,
-			Slot: s.order, Provider: s.provider, VP: s.label,
+			Slot: s.slot, Provider: s.provider, VP: s.label,
 		})
-		if err := c.stream(Outcome{Rank: s.order, Skip: &SkippedVP{
+		return false, c.stream(Outcome{Rank: s.slot, Skip: &SkippedVP{
 			Provider:     s.provider,
 			VPLabel:      s.label,
-			TrippedAfter: c.res.Quarantines[qi].TrippedAfter,
-		}}); err != nil {
-			return false, err
-		}
-		return false, c.checkpoint()
+			TrippedAfter: q.TrippedAfter,
+		}})
 	}
 	return true, nil
 }
 
-// insertQuarantine places a fresh trip record at its canonical position
-// (provider-index order, before any foreign resumed records, which rank
-// after all known providers).
-func (c *committer) insertQuarantine(q Quarantine) {
-	r := c.rank.provRank(q.Provider)
-	pos := len(c.res.Quarantines)
-	for i := range c.res.Quarantines {
-		if c.rank.provRank(c.res.Quarantines[i].Provider) > r {
-			pos = i
-			break
-		}
-	}
-	c.res.Quarantines = append(c.res.Quarantines, Quarantine{})
-	copy(c.res.Quarantines[pos+1:], c.res.Quarantines[pos:])
-	c.res.Quarantines[pos] = q
-}
-
 // commit records a fresh measurement outcome for s (prepare must have
-// returned needMeasure) and checkpoints.
+// returned needMeasure) and streams it.
 //
 // Deterministic campaign telemetry is recorded here, not at measure
 // time: the committer runs single-threaded in canonical slot order and
@@ -289,7 +220,7 @@ func (c *committer) insertQuarantine(q Quarantine) {
 func (c *committer) commit(s slotSpec, out vpResult) error {
 	st := c.provState(s.provIdx)
 	c.res.VPsAttempted++
-	o := Outcome{Rank: s.order}
+	o := Outcome{Rank: s.slot}
 	if out.failure != nil {
 		c.res.ConnectFailures = append(c.res.ConnectFailures, *out.failure)
 		st.streak++
@@ -333,19 +264,16 @@ func (c *committer) commit(s slotSpec, out vpResult) error {
 		}
 		fr.Record(flightrec.Event{
 			Kind: flightrec.Commit, Worker: committerWorker,
-			Slot: s.order, Provider: s.provider, VP: s.label, Detail: detail,
+			Slot: s.slot, Provider: s.provider, VP: s.label, Detail: detail,
 		})
 	}
-	if err := c.stream(o); err != nil {
-		return err
-	}
-	return c.checkpoint()
+	return c.stream(o)
 }
 
 // stream hands one fresh outcome to the caller's streaming sink (a
-// no-op in checkpoint mode). Like checkpoint it only ever runs on the
-// committing goroutine, so outcomes arrive strictly in rank order for
-// any worker count.
+// no-op for an in-memory run). It only ever runs on the committing
+// goroutine, so outcomes arrive strictly in rank order for any worker
+// count.
 func (c *committer) stream(o Outcome) error {
 	if c.cfg.Stream == nil {
 		return nil
@@ -372,103 +300,4 @@ func (c *committer) stream(o Outcome) error {
 		return fmt.Errorf("study: stream: %w", err)
 	}
 	return nil
-}
-
-// checkpoint hands the user callback an O(new)-cost snapshot.
-func (c *committer) checkpoint() error {
-	if c.cfg.Checkpoint == nil {
-		return nil
-	}
-	tel := telemetry.Active()
-	fr := c.cfg.Flight
-	var t0 time.Time
-	if tel != nil || fr != nil {
-		t0 = time.Now()
-	}
-	err := c.cfg.Checkpoint(c.snapshot())
-	if tel != nil || fr != nil {
-		d := time.Since(t0)
-		if tel != nil {
-			tel.M.Checkpoints.Add(1)
-			tel.CheckpointWall.Observe(d)
-			tel.RecordCommitSpan(telemetry.Span{
-				Kind:      "checkpoint",
-				WallStart: t0,
-				WallDur:   d,
-			})
-		}
-		fr.Record(flightrec.Event{
-			Kind: flightrec.Checkpoint, Worker: committerWorker,
-			Detail: "checkpoint", V1: int64(d),
-		})
-	}
-	if err != nil {
-		return fmt.Errorf("study: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// snapChunkLen sizes the committer's snapshot scratch chunks: large
-// enough to amortize allocation across a campaign's checkpoints, small
-// enough that a short campaign doesn't strand much memory.
-const snapChunkLen = 64
-
-// snapshot builds a self-contained, canonically ordered view of the
-// in-progress result. The three vantage-point slices alias the live
-// prefix with their capacity clamped to their length: the committer
-// only ever appends past that length (an append on the clamped snapshot
-// itself reallocates), and prefix elements are never mutated after
-// commit, so the snapshot stays frozen while the campaign runs on.
-// Quarantine records DO mutate in place (SkippedVPs grows), so those
-// are struct-copied with the same cap-clamp on each SkippedVPs.
-//
-// The Result header and the Quarantine copies come from the committer's
-// chunked scratch: each piece is carved out exactly once and never
-// touched by the committer again, so the freeze guarantee above is
-// preserved while a checkpoint-per-outcome campaign pays one allocation
-// per snapChunkLen snapshots instead of one per snapshot.
-func (c *committer) snapshot() *Result {
-	if len(c.snapChunk) == 0 {
-		c.snapChunk = make([]Result, snapChunkLen)
-	}
-	out := &c.snapChunk[0]
-	c.snapChunk = c.snapChunk[1:]
-	out.VPsAttempted = c.res.VPsAttempted
-	out.Reports = c.res.Reports[:len(c.res.Reports):len(c.res.Reports)]
-	out.ConnectFailures = c.res.ConnectFailures[:len(c.res.ConnectFailures):len(c.res.ConnectFailures)]
-	out.Recoveries = c.res.Recoveries[:len(c.res.Recoveries):len(c.res.Recoveries)]
-	// Not-yet-migrated resumed records sort after every committed rank
-	// and are already rank-ordered; appending them to the cap-clamped
-	// prefix copies into a fresh array without disturbing the live one.
-	for i := c.pr; i < len(c.pendReps); i++ {
-		out.Reports = append(out.Reports, c.pendReps[i].rep)
-	}
-	for i := c.pf; i < len(c.pendCFs); i++ {
-		out.ConnectFailures = append(out.ConnectFailures, c.pendCFs[i].cf)
-	}
-	for i := c.pc; i < len(c.pendRecs); i++ {
-		out.Recoveries = append(out.Recoveries, c.pendRecs[i].rec)
-	}
-	if n := len(c.res.Quarantines); n > 0 {
-		if len(c.quarChunk) < n {
-			c.quarChunk = make([]Quarantine, max(snapChunkLen, n))
-		}
-		out.Quarantines = c.quarChunk[:n:n]
-		c.quarChunk = c.quarChunk[n:]
-		copy(out.Quarantines, c.res.Quarantines)
-		for i := range out.Quarantines {
-			sk := out.Quarantines[i].SkippedVPs
-			out.Quarantines[i].SkippedVPs = sk[:len(sk):len(sk)]
-		}
-	}
-	return out
-}
-
-// finish migrates every remaining pending record (resumed outcomes for
-// slots after the last spec, plus records for vantage points this world
-// does not enumerate, which rank after all known ones) and returns the
-// completed canonical result.
-func (c *committer) finish() *Result {
-	c.migrate(int(^uint(0) >> 1)) // max int
-	return c.res
 }

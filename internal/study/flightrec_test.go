@@ -69,37 +69,22 @@ func TestFlightRecorderDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderResume: a resumed run records SlotResume for
-// checkpoint-absorbed slots and still matches the uninterrupted bytes.
+// TestFlightRecorderResume: a run resumed from an outcome log records
+// SlotResume for the logged slots and still matches the uninterrupted
+// bytes.
 func TestFlightRecorderResume(t *testing.T) {
 	full := envelope(t, runLossySubsetFlight(t, 2, nil))
 
-	var checkpoint *study.Result
-	w := buildSubset(t, 2018, "Seed4.me", "WorldVPN", "Windscribe")
-	w.EnableFaults(faultsim.Lossy)
-	if _, err := w.RunWith(study.RunConfig{
-		Parallel: 2,
-		Checkpoint: func(partial *study.Result) error {
-			if partial.VPsAttempted <= 3 {
-				cp := *partial
-				checkpoint = &cp
-			}
-			return nil
-		},
-	}); err != nil {
-		t.Fatal(err)
+	build := func() *study.World {
+		w := buildSubset(t, 2018, "Seed4.me", "WorldVPN", "Windscribe")
+		w.EnableFaults(faultsim.Lossy)
+		return w
 	}
-	if checkpoint == nil {
-		t.Fatal("no checkpoint captured")
-	}
+	dir := t.TempDir()
+	killIntoLog(t, build, dir, 3, 2)
 
 	r := flightrec.NewRing(1 << 14)
-	w2 := buildSubset(t, 2018, "Seed4.me", "WorldVPN", "Windscribe")
-	w2.EnableFaults(faultsim.Lossy)
-	res, err := w2.RunWith(study.RunConfig{Parallel: 2, Resume: checkpoint, Flight: r})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := resumeFromLog(t, build, dir, study.RunConfig{Parallel: 2, Flight: r})
 	if got := envelope(t, res); !bytes.Equal(got, full) {
 		t.Error("resumed run with flight recorder diverges from uninterrupted run")
 	}

@@ -15,7 +15,7 @@
 // dependency — the per-provider quarantine breaker — and discarding
 // speculative measurements a quarantine overtook. Output is therefore
 // byte-identical to the sequential path for any worker count, at every
-// checkpoint, for any kill/resume point.
+// streamed outcome, for any kill/resume point.
 package study
 
 import (
@@ -30,48 +30,7 @@ import (
 	"vpnscope/internal/flightrec"
 	"vpnscope/internal/study/slotsched"
 	"vpnscope/internal/telemetry"
-	"vpnscope/internal/vpn"
 )
-
-// slotRank maps every enumerable outcome of this world to its canonical
-// position: vantage points rank by their global slot index, quarantine
-// records by provider index. Outcomes for vantage points this world
-// does not enumerate (a checkpoint taken under different Options) rank
-// after all known ones, keeping their relative order.
-type slotRank struct {
-	vp   map[string]int // vpKey → global slot
-	prov map[string]int // provider name → provider index
-}
-
-func (w *World) ranks() slotRank {
-	r := slotRank{vp: map[string]int{}, prov: map[string]int{}}
-	slot := 0
-	for i, p := range w.Providers {
-		r.prov[p.Name()] = i
-		if p.Spec.Client == vpn.BrowserExtension {
-			continue
-		}
-		for _, vp := range p.VPs {
-			r.vp[vpKey(p.Name(), vpLabel(vp))] = slot
-			slot++
-		}
-	}
-	return r
-}
-
-func (r slotRank) vpRank(provider, label string) int {
-	if s, ok := r.vp[vpKey(provider, label)]; ok {
-		return s
-	}
-	return len(r.vp)
-}
-
-func (r slotRank) provRank(provider string) int {
-	if i, ok := r.prov[provider]; ok {
-		return i
-	}
-	return len(r.prov)
-}
 
 // buildWorkerWorld builds an independent replica of this world for one
 // worker: same Options (hence the same seed-derived hosts, providers,
@@ -115,18 +74,16 @@ func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*
 	c.onQuarantine = func(provIdx int) { flags[provIdx].Store(true) }
 	var needIdx []int
 	for i, s := range specs {
-		switch c.done[s.key] {
-		case outcomeNone:
+		if i >= len(c.resumed) {
 			needIdx = append(needIdx, i)
-		case outcomeSkipped:
+		} else if c.resumed[i] == outcomeSkipped {
 			// Resumed quarantine: flag the provider up front so workers
 			// never measure its remaining un-resumed slots.
 			flags[s.provIdx].Store(true)
 		}
 	}
 	sched := slotsched.New(needIdx, workers)
-	// The parallel path only runs full campaigns (multiProvider), where a
-	// spec's index equals its canonical rank — so the scheduler's
+	// A spec's index is its canonical rank, so the scheduler's
 	// slot-steal events line up with every other event's Slot field.
 	sched.SetFlight(cfg.Flight)
 	tel := telemetry.Active()
@@ -190,7 +147,7 @@ func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*
 				}
 				cfg.Flight.Record(flightrec.Event{
 					Kind: flightrec.SlotDiscard, Worker: committerWorker,
-					Slot: s.order, Provider: s.provider, VP: s.label,
+					Slot: s.slot, Provider: s.provider, VP: s.label,
 				})
 				delete(pending, i)
 			}
@@ -217,7 +174,7 @@ func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*
 				}
 				cfg.Flight.Record(flightrec.Event{
 					Kind: flightrec.CommitWait, Worker: committerWorker,
-					Slot: s.order, Provider: s.provider, V1: int64(waited),
+					Slot: s.slot, Provider: s.provider, V1: int64(waited),
 				})
 			}
 		}
@@ -247,7 +204,7 @@ func (w *World) runParallelSlots(specs []slotSpec, c *committer, workers int) (*
 		tel.M.VictimScans.Add(st.VictimScans)
 		tel.M.StealRescans.Add(st.Rescans)
 	}
-	return c.finish(), retErr
+	return c.res, retErr
 }
 
 // slotDelivery is one worker-measured slot result keyed by spec index.
@@ -260,7 +217,7 @@ type slotDelivery struct {
 // committer. Workers append to the fill buffer under a short critical
 // section; the committer swaps the whole buffer out in one lock
 // acquisition and consumes it privately, so commit work (report
-// serialization, checkpointing) overlaps worker execution instead of
+// serialization, streaming) overlaps worker execution instead of
 // trading per-slot lock handoffs with it.
 type intake struct {
 	mu      sync.Mutex
@@ -367,7 +324,7 @@ func (w *World) workerLoop(ctx context.Context, id int, specs []slotSpec, sched 
 			cw.telStealFrom = from
 		}
 		var out vpResult
-		pprof.Do(ctx, pprof.Labels("slot", strconv.Itoa(s.order), "provider", s.provider), func(context.Context) {
+		pprof.Do(ctx, pprof.Labels("slot", strconv.Itoa(s.slot), "provider", s.provider), func(context.Context) {
 			out = cw.measureVP(cfg, s)
 		})
 		deliver(i, &out)

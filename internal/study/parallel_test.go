@@ -10,10 +10,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
-	"fmt"
+	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"vpnscope/internal/analysis"
@@ -60,7 +58,9 @@ func checkDigest(t *testing.T, name string, env []byte, wantDigest string, wantL
 
 // TestParallelByteIdenticalSubset is the fast (-short, race-checked)
 // form of the golden test: a 3-provider lossy campaign run with eight
-// workers serializes byte-identically to the sequential run.
+// workers serializes byte-identically to the sequential run, and so
+// does the Result merged from an outcome log killed mid-campaign and
+// resumed.
 func TestParallelByteIdenticalSubset(t *testing.T) {
 	build := func() *study.World {
 		w := buildSubset(t, 2018, "Seed4.me", "WorldVPN", "Windscribe")
@@ -83,6 +83,11 @@ func TestParallelByteIdenticalSubset(t *testing.T) {
 		t.Error("Parallel=8 envelope differs from Parallel=1")
 	}
 	checkDigest(t, "subset lossy", seqEnv, subsetLossyDigest, subsetLossyLen)
+
+	dir := t.TempDir()
+	killIntoLog(t, build, dir, seq.VPsAttempted/2, 2)
+	merged := resumeFromLog(t, build, dir, study.RunConfig{Parallel: 2})
+	checkDigest(t, "subset lossy log-merged", envelope(t, merged), subsetLossyDigest, subsetLossyLen)
 }
 
 // TestParallelQuarantineByteIdentical: the circuit breaker — whose
@@ -123,7 +128,9 @@ func TestParallelQuarantineByteIdentical(t *testing.T) {
 // 62-provider campaign under the lossy profile, Parallel=8 versus
 // Parallel=1, byte-identical envelopes, identical fault-injection
 // totals (shard counters absorbed into the campaign plan), and every §6
-// headline verdict intact on the parallel run's reports.
+// headline verdict intact on the parallel run's reports. The same
+// campaign streamed into an outcome log, killed after 137 outcomes and
+// resumed, must merge to the pinned envelope too.
 func TestParallelGoldenFullStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full golden study in -short mode")
@@ -189,15 +196,27 @@ func TestParallelGoldenFullStudy(t *testing.T) {
 		t.Errorf("fail-open %d/%d = %.0f%%, want 25/43 = 58%%",
 			len(leaks.FailOpen), leaks.Applicable, 100*rate)
 	}
+
+	build := func() *study.World {
+		w, err := study.Build(study.Options{Seed: 2018})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.EnableFaults(faultsim.Lossy)
+		return w
+	}
+	dir := t.TempDir()
+	killIntoLog(t, build, dir, 137, 2)
+	merged := resumeFromLog(t, build, dir, study.RunConfig{Parallel: 2})
+	checkDigest(t, "full-study lossy log-merged", envelope(t, merged), fullLossyDigest, fullLossyLen)
 }
 
-// TestParallelKillResumeFuzz kills a 5-provider lossy campaign at every
-// vantage-point boundary and resumes the checkpoint under both
-// Parallel=1 and Parallel=8; every resumed envelope must equal the
-// uninterrupted reference byte for byte. The kill itself alternates
-// between sequential and parallel execution, so mid-parallel
-// checkpoints — which are not slot-order prefixes — are resumed by both
-// paths too.
+// TestParallelKillResumeFuzz kills a 5-provider lossy campaign's
+// outcome log at every vantage-point boundary and resumes a copy of the
+// log under both Parallel=1 and Parallel=8; every Result merged from a
+// resumed log must serialize to the uninterrupted reference byte for
+// byte. The kill itself alternates between sequential and parallel
+// execution.
 func TestParallelKillResumeFuzz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kill/resume fuzz in -short mode")
@@ -219,53 +238,19 @@ func TestParallelKillResumeFuzz(t *testing.T) {
 	refBytes := envelope(t, ref)
 	total := ref.VPsAttempted
 
-	killed := errors.New("killed")
-	dir := t.TempDir()
 	for k := 1; k <= total; k++ {
 		killPar := 1
 		if k%2 == 0 {
 			killPar = 8
 		}
-		path := filepath.Join(dir, fmt.Sprintf("ckpt-%d.json", k))
-		ck := results.CheckpointFunc(path, results.WithSeed(2018), results.WithFaultProfile("lossy"))
-		var mu sync.Mutex
-		count := 0
-		_, err := build().RunWith(study.RunConfig{
-			Parallel: killPar,
-			Checkpoint: func(r *study.Result) error {
-				mu.Lock()
-				defer mu.Unlock()
-				if count >= k {
-					// Concurrent shards may checkpoint again after the
-					// kill; keep the file frozen at k outcomes.
-					return killed
-				}
-				if err := ck(r); err != nil {
-					return err
-				}
-				count++
-				if count == k {
-					return killed
-				}
-				return nil
-			},
-		})
-		if !errors.Is(err, killed) {
-			t.Fatalf("k=%d: interrupted run error = %v", k, err)
-		}
-
-		partial, env, err := results.LoadFile(path)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if env.Complete {
-			t.Fatalf("k=%d: checkpoint marked complete", k)
-		}
+		killed := filepath.Join(t.TempDir(), "killed")
+		killIntoLog(t, build, killed, k, killPar)
 		for _, resumePar := range []int{1, 8} {
-			resumed, err := build().RunWith(study.RunConfig{Resume: partial, Parallel: resumePar})
-			if err != nil {
-				t.Fatalf("k=%d resume Parallel=%d: %v", k, resumePar, err)
+			dir := filepath.Join(t.TempDir(), "resumed")
+			if err := os.CopyFS(dir, os.DirFS(killed)); err != nil {
+				t.Fatal(err)
 			}
+			resumed := resumeFromLog(t, build, dir, study.RunConfig{Parallel: resumePar})
 			if !bytes.Equal(refBytes, envelope(t, resumed)) {
 				t.Errorf("k=%d (killed under Parallel=%d, resumed under Parallel=%d): envelope differs from reference",
 					k, killPar, resumePar)

@@ -66,8 +66,9 @@ type SkippedVP struct {
 // Outcome is one vantage-point slot's result as emitted by
 // RunConfig.Stream: exactly one of Report, Failure, or Skip is set
 // (Recovery only ever accompanies Report). Rank is the slot's canonical
-// campaign rank; Stream receives ranks in strictly increasing order,
-// starting at the resumed prefix length.
+// campaign rank (0-based within the campaign, so a provider audit's
+// ranks start at zero too); Stream receives ranks in strictly
+// increasing order, starting at the resumed prefix length.
 type Outcome struct {
 	Rank     int
 	Report   *vpntest.VPReport `json:",omitempty"`
@@ -76,7 +77,7 @@ type Outcome struct {
 	Skip     *SkippedVP        `json:",omitempty"`
 }
 
-// Result is a completed (or checkpointed partial) study: every
+// Result is a completed (or interrupted partial) study: every
 // vantage-point report plus the connection failures (§5.2's
 // flaky-endpoint reality), retry recoveries, and quarantines. Every
 // attempted vantage point lands in exactly one of Reports,
@@ -141,19 +142,14 @@ type RunConfig struct {
 	// earlier vantage points took, which is what lets an interrupted
 	// campaign resume byte-identically.
 	VPSlot time.Duration
-	// Resume seeds the runner with a checkpointed partial Result:
-	// vantage points already present (measured, failed, or
-	// quarantine-skipped) are not re-run, but still consume their
-	// virtual-time slot.
+	// Resume continues a campaign from its outcome log: the lean Result
+	// rebuilt from the log (shardlog.Log.Resume), which must hold exactly
+	// the first VPsAttempted slots in rank order — anything else is an
+	// error naming the first offending vantage point. Resumed slots are
+	// not re-run, but still consume their virtual-time slot. Resume
+	// requires Stream: the resumed reports live in the caller's log, and
+	// the new outcomes must continue it.
 	Resume *Result
-	// Checkpoint, when set, is invoked with the in-progress Result
-	// after every newly recorded vantage-point outcome. A checkpoint
-	// error aborts the campaign, returning the partial Result alongside
-	// the error. Checkpoint calls are serialized (even under Parallel)
-	// and always receive a self-contained snapshot in canonical slot
-	// order, built at O(new outcomes) cost by the incremental committer
-	// (see commit.go).
-	Checkpoint func(*Result) error
 	// Stream, when set, switches the campaign to bounded-memory
 	// streaming: each newly recorded outcome is handed to Stream exactly
 	// once, in canonical rank order (serialized onto the committing
@@ -161,9 +157,9 @@ type RunConfig struct {
 	// measurement reports in the returned Result — Reports stays empty;
 	// ConnectFailures, Recoveries, Quarantines, and VPsAttempted are
 	// still filled. Resumed outcomes (already in the caller's log) are
-	// never re-streamed. Mutually exclusive with Checkpoint: the
-	// caller's sink is the checkpoint. A Stream error aborts the
-	// campaign like a checkpoint error would.
+	// never re-streamed. A Stream error aborts the campaign, returning
+	// the partial Result alongside the error. Without Stream the run is
+	// purely in memory and the returned Result holds every report.
 	Stream func(Outcome) error
 	// Parallel is the campaign worker count (default GOMAXPROCS;
 	// minimum 1). The campaign is sharded at vantage-point granularity:
@@ -184,7 +180,7 @@ type RunConfig struct {
 	Parallel int
 	// Flight, when non-nil, is the campaign's flight recorder: every
 	// slot start/finish, retry, steal, quarantine decision, commit, and
-	// checkpoint records a bounded, runtime-shape-only event into it
+	// streamed outcome records a bounded, runtime-shape-only event into it
 	// (see internal/flightrec). A nil ring disables recording at zero
 	// cost; the record path never allocates either way, and nothing
 	// recorded feeds back into execution, so results stay byte-identical
@@ -195,7 +191,7 @@ type RunConfig struct {
 	// stops advancing, and the runner returns the partial Result
 	// alongside an error wrapping ctx.Err(). Cancellation lands only at
 	// slot boundaries, so every outcome committed before it has already
-	// been checkpointed — a canceled campaign's checkpoint resumes
+	// been streamed — a canceled campaign's outcome log resumes
 	// byte-identically, exactly like a killed one (ErrCanceled
 	// distinguishes cooperative stops from real failures).
 	Ctx context.Context
@@ -203,7 +199,7 @@ type RunConfig struct {
 
 // ErrCanceled wraps the context error a canceled campaign returns; test
 // with errors.Is. The accompanying partial Result is valid and — when a
-// Checkpoint callback was set — already durably checkpointed.
+// Stream sink was set — every committed outcome has already reached it.
 var ErrCanceled = errors.New("study: campaign canceled")
 
 func (c *RunConfig) fill() {
@@ -248,8 +244,7 @@ const campaignBase = time.Hour
 type vpOutcome int
 
 const (
-	outcomeNone vpOutcome = iota
-	outcomeMeasured
+	outcomeMeasured vpOutcome = iota
 	outcomeFailed
 	outcomeSkipped
 )
@@ -262,17 +257,14 @@ func vpLabel(vp *vpn.VantagePoint) string {
 	return fmt.Sprintf("%s (%s)", vp.ID(), vp.ClaimedCountry)
 }
 
-// slotSpec pins one vantage-point measurement. order is the record's
-// canonical rank (the global slot index over the whole campaign);
-// timeSlot is the virtual-time slot the measurement runs in. They
-// coincide for a full campaign; RunProvider numbers its virtual-time
-// slots from zero (the provider runs standalone) while keeping global
-// ranks so resumed whole-campaign checkpoints still merge in order.
+// slotSpec pins one vantage-point measurement. slot is both the
+// record's canonical rank and the virtual-time slot the measurement
+// runs in: ranks number a campaign's slots from zero, so a provider
+// audit (RunProvider) is a contiguous campaign of its own.
 type slotSpec struct {
 	provIdx  int // index into World.Providers
 	vpIdx    int // index into the provider's VPs
-	order    int // canonical rank for result ordering
-	timeSlot int // virtual-time slot (clock pin + client sequence)
+	slot     int // canonical rank and virtual-time slot
 	provider string
 	label    string
 	key      string
@@ -283,37 +275,23 @@ type slotSpec struct {
 // active testing, §4), in provider order.
 func (w *World) campaignSpecs() []slotSpec {
 	var specs []slotSpec
-	slot := 0
 	for pi, p := range w.Providers {
 		if p.Spec.Client == vpn.BrowserExtension {
 			continue
 		}
-		for vi, vp := range p.VPs {
-			label := vpLabel(vp)
-			specs = append(specs, slotSpec{
-				provIdx: pi, vpIdx: vi, order: slot, timeSlot: slot,
-				provider: p.Name(), label: label, key: vpKey(p.Name(), label),
-			})
-			slot++
-		}
+		specs = w.appendProviderSpecs(specs, pi)
 	}
 	return specs
 }
 
-// providerSpecs enumerates a single provider's slots for RunProvider:
-// virtual time restarts at slot zero, canonical order keeps the global
-// rank.
-func (w *World) providerSpecs(pi int) []slotSpec {
+// appendProviderSpecs appends provider pi's slots to specs, numbering
+// them on from len(specs).
+func (w *World) appendProviderSpecs(specs []slotSpec, pi int) []slotSpec {
 	p := w.Providers[pi]
-	if p.Spec.Client == vpn.BrowserExtension {
-		return nil
-	}
-	r := w.ranks()
-	var specs []slotSpec
 	for vi, vp := range p.VPs {
 		label := vpLabel(vp)
 		specs = append(specs, slotSpec{
-			provIdx: pi, vpIdx: vi, order: r.vpRank(p.Name(), label), timeSlot: vi,
+			provIdx: pi, vpIdx: vi, slot: len(specs),
 			provider: p.Name(), label: label, key: vpKey(p.Name(), label),
 		})
 	}
@@ -379,12 +357,12 @@ func (w *World) beginSlot(cfg *RunConfig, s slotSpec) {
 	w.Net.BeginSlot()
 	w.Net.RewindHosts(w.hostMark)
 	w.Authority.TrimLog(w.authMark)
-	w.Net.Clock.Jump(campaignBase + time.Duration(s.timeSlot)*cfg.VPSlot)
+	w.Net.Clock.Jump(campaignBase + time.Duration(s.slot)*cfg.VPSlot)
 	w.Net.ResetStream(s.key)
 	if w.faults != nil {
 		w.faults.Reset(s.key)
 	}
-	w.Providers[s.provIdx].BeginSlot(s.timeSlot)
+	w.Providers[s.provIdx].BeginSlot(s.slot)
 }
 
 // measureVP measures one vantage point inside its own virtual-time
@@ -405,10 +383,10 @@ func (w *World) measureVP(cfg *RunConfig, s slotSpec) vpResult {
 	}
 	fr.Record(flightrec.Event{
 		Kind: flightrec.SlotStart, Worker: w.telWorker,
-		Slot: s.order, Provider: s.provider, VP: s.label,
+		Slot: s.slot, Provider: s.provider, VP: s.label,
 	})
 	if h := SlotHook; h != nil {
-		h(w.Opts.Seed, s.order)
+		h(w.Opts.Seed, s.slot)
 	}
 	var before faultsim.Stats
 	if w.faults != nil {
@@ -431,25 +409,25 @@ func (w *World) measureVP(cfg *RunConfig, s slotSpec) vpResult {
 		}
 		fr.Record(flightrec.Event{
 			Kind: flightrec.SlotFinish, Worker: w.telWorker,
-			Slot: s.order, Provider: s.provider, VP: s.label,
+			Slot: s.slot, Provider: s.provider, VP: s.label,
 			Detail: outcome, V1: int64(wallDur), V2: int64(out.attempts),
 		})
 		if n := out.faultDelta.Total(); n > 0 {
 			fr.Record(flightrec.Event{
 				Kind: flightrec.FaultDraws, Worker: w.telWorker,
-				Slot: s.order, Provider: s.provider, V1: int64(n),
+				Slot: s.slot, Provider: s.provider, V1: int64(n),
 			})
 		}
 	}
 	if tel != nil {
-		virtStart := campaignBase + time.Duration(s.timeSlot)*cfg.VPSlot
+		virtStart := campaignBase + time.Duration(s.slot)*cfg.VPSlot
 		outcome := "measured"
 		if out.failure != nil {
 			outcome = "failed"
 		}
 		tel.RecordSpan(w.telWorker, telemetry.Span{
 			Kind:       "slot",
-			Slot:       s.order,
+			Slot:       s.slot,
 			Provider:   s.provider,
 			VP:         s.label,
 			WallStart:  wallStart,
@@ -475,7 +453,7 @@ func (w *World) measureSlot(cfg *RunConfig, s slotSpec) vpResult {
 	w.beginSlot(cfg, s)
 	backoffRNG := simrand.New(w.Opts.Seed).Fork("campaign").Fork(s.key)
 
-	stack, err := w.newClientStackAt(clientSeqBase + s.timeSlot)
+	stack, err := w.newClientStackAt(clientSeqBase + s.slot)
 	if err != nil {
 		// A client machine that cannot even be provisioned is a
 		// recorded failure, not a campaign abort.
@@ -510,7 +488,7 @@ func (w *World) measureSlot(cfg *RunConfig, s slotSpec) vpResult {
 		backoff := time.Duration(float64(wait) * jitter)
 		cfg.Flight.Record(flightrec.Event{
 			Kind: flightrec.Retry, Worker: w.telWorker,
-			Slot: s.order, Provider: s.provider, VP: s.label,
+			Slot: s.slot, Provider: s.provider, VP: s.label,
 			V1: int64(attempts), V2: int64(backoff),
 		})
 		w.Net.Clock.Advance(backoff)
@@ -551,11 +529,12 @@ func (w *World) Run() (*Result, error) {
 	return w.RunWith(RunConfig{})
 }
 
-// RunWith executes the full campaign under cfg. On a checkpoint error
-// the partial Result is returned alongside the error. With cfg.Parallel
-// greater than one (the default is GOMAXPROCS) vantage-point slots run
-// concurrently on worker world replicas; the returned Result — and
-// every checkpoint — is byte-identical to a sequential run.
+// RunWith executes the full campaign under cfg. On a stream error or
+// cancellation the partial Result is returned alongside the error. With
+// cfg.Parallel greater than one (the default is GOMAXPROCS)
+// vantage-point slots run concurrently on worker world replicas; the
+// returned Result — and the streamed outcome sequence — is
+// byte-identical to a sequential run.
 func (w *World) RunWith(cfg RunConfig) (*Result, error) {
 	cfg.fill()
 	return w.runCampaign(cfg, w.campaignSpecs())
@@ -566,13 +545,19 @@ func (w *World) RunProvider(name string) (*Result, error) {
 	return w.RunProviderWith(name, RunConfig{})
 }
 
-// RunProviderWith measures a single provider under cfg.
+// RunProviderWith measures a single provider under cfg, as a campaign
+// of its own: slots (ranks and virtual time alike) number from zero.
 func (w *World) RunProviderWith(name string, cfg RunConfig) (*Result, error) {
 	cfg.fill()
 	for i, p := range w.Providers {
-		if p.Name() == name {
-			return w.runCampaign(cfg, w.providerSpecs(i))
+		if p.Name() != name {
+			continue
 		}
+		var specs []slotSpec
+		if p.Spec.Client != vpn.BrowserExtension {
+			specs = w.appendProviderSpecs(nil, i)
+		}
+		return w.runCampaign(cfg, specs)
 	}
 	return nil, fmt.Errorf("study: unknown provider %q", name)
 }
@@ -583,29 +568,23 @@ func (w *World) RunProviderWith(name string, cfg RunConfig) (*Result, error) {
 // one-provider world) stays on the primary world so post-Build
 // mutations — which worker replicas cannot observe — keep applying.
 func (w *World) runCampaign(cfg RunConfig, specs []slotSpec) (*Result, error) {
-	if cfg.Stream != nil && cfg.Checkpoint != nil {
-		return nil, errors.New("study: RunConfig.Stream and Checkpoint are mutually exclusive")
+	c, err := newCommitter(&cfg, specs)
+	if err != nil {
+		return nil, err
 	}
 	if tel := telemetry.Active(); tel != nil {
 		tel.AddSlotsTotal(len(specs))
 	}
-	c := newCommitter(&cfg, w.ranks())
-	schedulable := 0
 	multiProvider := false
 	for _, s := range specs {
-		if c.done[s.key] == outcomeNone {
-			schedulable++
-		}
 		if s.provIdx != specs[0].provIdx {
 			multiProvider = true
+			break
 		}
 	}
 	// Clamp against schedulable slots, not provider count: with
 	// vantage-point sharding every un-resumed slot is independent work.
-	workers := cfg.Parallel
-	if workers > schedulable {
-		workers = schedulable
-	}
+	workers := min(cfg.Parallel, len(specs)-len(c.resumed))
 	if workers > 1 && multiProvider {
 		return w.runParallelSlots(specs, c, workers)
 	}
@@ -620,22 +599,22 @@ func (w *World) runSequential(specs []slotSpec, c *committer) (*Result, error) {
 	w.markCampaign()
 	for _, s := range specs {
 		if err := c.cfg.canceled(); err != nil {
-			return c.finish(), err
+			return c.res, err
 		}
 		needMeasure, err := c.prepare(s)
 		if err != nil {
-			return c.finish(), err
+			return c.res, err
 		}
 		if !needMeasure {
 			continue
 		}
 		out := w.measureVP(c.cfg, s)
 		if out.err != nil {
-			return c.finish(), out.err
+			return c.res, out.err
 		}
 		if err := c.commit(s, out); err != nil {
-			return c.finish(), err
+			return c.res, err
 		}
 	}
-	return c.finish(), nil
+	return c.res, nil
 }

@@ -13,11 +13,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vpnscope/internal/faultsim"
 	"vpnscope/internal/results/shardlog"
 	"vpnscope/internal/study"
+	"vpnscope/internal/vpntest"
 )
 
 func streamWorld(t testing.TB) *study.World {
@@ -89,17 +91,130 @@ func TestStreamMatchesRetainedRun(t *testing.T) {
 	}
 }
 
-// TestStreamCheckpointMutuallyExclusive: setting both sinks is a
-// configuration error, not a silent preference.
-func TestStreamCheckpointMutuallyExclusive(t *testing.T) {
+// TestResumeRequiresStream: resumed reports live only in the caller's
+// outcome log, so a Resume with no Stream to continue that log would
+// silently drop them from the result — a configuration error.
+func TestResumeRequiresStream(t *testing.T) {
 	_, err := streamWorld(t).RunWith(study.RunConfig{
-		Parallel:   1,
-		Stream:     func(study.Outcome) error { return nil },
-		Checkpoint: func(*study.Result) error { return nil },
+		Parallel: 1,
+		Resume:   &study.Result{},
 	})
-	if err == nil {
-		t.Fatal("Stream+Checkpoint accepted")
+	if err == nil || !strings.Contains(err.Error(), "requires Stream") {
+		t.Fatalf("Resume without Stream: err = %v, want a configuration error", err)
 	}
+}
+
+// TestResumeMustBePrefix: a Resume that is not exactly the campaign's
+// first VPsAttempted slots, in rank order, is refused with an error
+// naming the first offending vantage point — never merged as "foreign
+// records rank last".
+func TestResumeMustBePrefix(t *testing.T) {
+	var outs []study.Outcome
+	if _, err := streamWorld(t).RunWith(study.RunConfig{
+		Parallel: 1,
+		Stream:   func(o study.Outcome) error { outs = append(outs, o); return nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	identity := func(o study.Outcome) (string, string) {
+		switch {
+		case o.Report != nil:
+			return o.Report.Provider, o.Report.VPLabel
+		case o.Failure != nil:
+			return o.Failure.Provider, o.Failure.VPLabel
+		default:
+			return o.Skip.Provider, o.Skip.VPLabel
+		}
+	}
+	stub := func(o study.Outcome) *vpntest.VPReport {
+		prov, label := identity(o)
+		return &vpntest.VPReport{Provider: prov, VPLabel: label}
+	}
+	run := func(resume *study.Result) error {
+		_, err := streamWorld(t).RunWith(study.RunConfig{
+			Parallel: 1,
+			Resume:   resume,
+			Stream:   func(study.Outcome) error { return nil },
+		})
+		return err
+	}
+
+	// Slots 0 and 2 without slot 1: a gap.
+	_, gapLabel := identity(outs[1])
+	err := run(&study.Result{VPsAttempted: 2, Reports: []*vpntest.VPReport{stub(outs[0]), stub(outs[2])}})
+	if err == nil || !strings.Contains(err.Error(), gapLabel) {
+		t.Errorf("gapped resume: err = %v, want it to name %q", err, gapLabel)
+	}
+	// Slots 1 and 0: the right set in the wrong order.
+	_, firstLabel := identity(outs[0])
+	err = run(&study.Result{VPsAttempted: 2, Reports: []*vpntest.VPReport{stub(outs[1]), stub(outs[0])}})
+	if err == nil || !strings.Contains(err.Error(), firstLabel) {
+		t.Errorf("reordered resume: err = %v, want it to name %q", err, firstLabel)
+	}
+	// A record this campaign does not enumerate.
+	err = run(&study.Result{VPsAttempted: 1, Reports: []*vpntest.VPReport{
+		stub(outs[0]), {Provider: "Elsewhere VPN", VPLabel: "nowhere (ZZ)"}}})
+	if err == nil || !strings.Contains(err.Error(), "nowhere (ZZ)") {
+		t.Errorf("foreign record: err = %v, want it to name the foreign vantage point", err)
+	}
+	// More outcomes than the campaign has slots.
+	if err := run(&study.Result{VPsAttempted: len(outs) + 1}); err == nil {
+		t.Error("over-long resume accepted")
+	}
+}
+
+// lossyMeta pins the outcome logs of the lossy seed-2018 campaigns.
+var lossyMeta = shardlog.Meta{Seed: 2018, FaultProfile: "lossy"}
+
+// killIntoLog streams build()'s campaign under Parallel=par into a
+// fresh shard log at dir and kills it once k (>= 1) outcomes are
+// durable.
+func killIntoLog(t *testing.T, build func() *study.World, dir string, k, par int) {
+	t.Helper()
+	l, err := shardlog.Open(dir, lossyMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	_, err = build().RunWith(study.RunConfig{
+		Parallel: par,
+		Stream: func(o study.Outcome) error {
+			if err := l.Append(o); err != nil {
+				return err
+			}
+			if l.NextRank() == k {
+				return errKilled
+			}
+			return nil
+		},
+	})
+	if !errors.Is(err, errKilled) {
+		t.Fatalf("kill at %d: err = %v, want simulated kill", k, err)
+	}
+}
+
+// resumeFromLog reopens the shard log at dir, continues build()'s
+// campaign from its recovered prefix under cfg (Log.Continue fills in
+// Resume and Stream), and returns the Result merged out of the sealed
+// log — the byte-identity currency of the kill/resume suites.
+func resumeFromLog(t *testing.T, build func() *study.World, dir string, cfg study.RunConfig) *study.Result {
+	t.Helper()
+	l, err := shardlog.Open(dir, lossyMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Continue(cfg, build().RunWith); err != nil {
+		t.Fatalf("resuming from %d outcomes: %v", l.NextRank(), err)
+	}
+	if !l.Complete() {
+		t.Fatal("continued log is not sealed")
+	}
+	res, err := l.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // streamGolden runs the campaign uninterrupted into a shard log and

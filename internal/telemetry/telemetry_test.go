@@ -65,7 +65,7 @@ func TestSpanRingWrapCountsDrops(t *testing.T) {
 	for i := 0; i < ringCapacity+10; i++ {
 		s.RecordSpan(0, Span{Kind: "slot", Slot: i})
 	}
-	spans, dropped := s.tracks[0].snapshot()
+	spans, dropped := s.tracks[0].contents()
 	if len(spans) != ringCapacity {
 		t.Fatalf("retained %d spans, want %d", len(spans), ringCapacity)
 	}

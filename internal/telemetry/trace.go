@@ -10,18 +10,18 @@ import (
 )
 
 // ringCapacity bounds each track's span buffer. A full commercial-scale
-// campaign is a few hundred slots plus a checkpoint per slot, so 4096
+// campaign is a few hundred slots plus a commit-track span per slot, so 4096
 // keeps everything; if a run ever overflows, the oldest spans are
 // overwritten and the loss is reported in the snapshot's
 // runtime.spans_dropped.
 const ringCapacity = 4096
 
 // Span is one traced interval: a measured vantage-point slot or a
-// checkpoint write. Spans are placed on the wall clock (WallStart /
+// committer-side persistence step. Spans are placed on the wall clock (WallStart /
 // WallDur — where the work actually ran) and annotated with the
 // virtual-time window the simulation assigned it (VirtStart / VirtDur).
 type Span struct {
-	Kind     string // "slot" or "checkpoint"
+	Kind     string // "slot", or a committer-track kind
 	Slot     int    // canonical slot order (slots only)
 	Provider string
 	VP       string
@@ -60,9 +60,9 @@ func (r *ring) record(sp Span) {
 	r.mu.Unlock()
 }
 
-// snapshot returns the retained spans oldest-first plus the number of
+// contents returns the retained spans oldest-first plus the number of
 // overwritten (dropped) spans.
-func (r *ring) snapshot() (spans []Span, dropped int64) {
+func (r *ring) contents() (spans []Span, dropped int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.n == 0 || r.buf == nil {
@@ -117,7 +117,7 @@ func (s *Sink) RecordSpan(worker int, sp Span) {
 }
 
 // RecordCommitSpan appends a span to the committer's dedicated track
-// (checkpoint writes live there, not on any worker).
+// (committer-side persistence lives there, not on any worker).
 func (s *Sink) RecordCommitSpan(sp Span) {
 	s.commits.record(sp)
 }
@@ -129,10 +129,10 @@ func (s *Sink) spansDropped() int64 {
 	s.trackMu.Unlock()
 	var dropped int64
 	for _, r := range tracks {
-		_, d := r.snapshot()
+		_, d := r.contents()
 		dropped += d
 	}
-	_, d := s.commits.snapshot()
+	_, d := s.commits.contents()
 	return dropped + d
 }
 
@@ -165,7 +165,7 @@ func (s *Sink) WriteTraceTo(w io.Writer) error {
 	commitTid := len(tracks)
 	var events []traceEvent
 	for tid, r := range tracks {
-		spans, _ := r.snapshot()
+		spans, _ := r.contents()
 		if len(spans) == 0 {
 			continue
 		}
@@ -177,7 +177,7 @@ func (s *Sink) WriteTraceTo(w io.Writer) error {
 			events = append(events, s.spanEvent(tid, sp))
 		}
 	}
-	if commitSpans, _ := s.commits.snapshot(); len(commitSpans) > 0 {
+	if commitSpans, _ := s.commits.contents(); len(commitSpans) > 0 {
 		events = append(events, traceEvent{
 			Name: "thread_name", Ph: "M", Pid: 1, Tid: commitTid,
 			Args: map[string]any{"name": "committer"},

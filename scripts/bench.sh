@@ -52,11 +52,12 @@ go test -bench 'BenchmarkTelemetryOverhead/record$' \
     -benchtime 20000x -count 3 -benchmem -run '^$' . |
     go run ./cmd/benchtrend -best -out "$out" -label "$label"
 
-# Checkpoint-merge cost (the allocs-per-outcome gate lives inside the
-# benchmark itself and fails the run on a quadratic relapse). Also
-# cheap: repeat and record the best.
-go test -bench 'BenchmarkCheckpointMerge$' \
-    -benchtime 100x -count 3 -benchmem -run '^$' ./internal/study |
+# Shard-log merge cost, the persistence path's read side (the
+# allocs-per-outcome gate lives inside the benchmark itself and fails
+# the run if the merge starts accumulating). Also cheap: repeat and
+# record the best.
+go test -bench 'BenchmarkShardedOutcomes$' \
+    -benchtime 100x -count 3 -benchmem -run '^$' ./internal/results/shardlog |
     go run ./cmd/benchtrend -best -out "$out" -label "$label"
 
 # Ecosystem-scale sweep: the full 200-provider catalog (tested 62 plus
